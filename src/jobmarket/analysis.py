@@ -49,15 +49,21 @@ def _brownian_matrix(seed: int, n_paths: int, dt: float, n_steps: int) -> np.nda
     return out
 
 
-def simulate_paths(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
-                   dt: float, n_paths: int, seed: int,
-                   record_stride: int = 1) -> BatchResult:
-    """Run n_paths independent trajectories (path_index 0 .. n_paths-1)."""
+def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
+                   x0: State, horizon: float, dt: float, n_paths: int,
+                   seed: int, record_stride: int = 1) -> BatchResult:
+    """Run n_paths independent trajectories (path_index 0 .. n_paths-1).
+
+    Given a sequence of params, every set runs as one row of a multi-cell
+    batch, and path i of every cell is driven by the same (seed, i)
+    increments: common random numbers, drawn once.
+    """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
     n_steps = _resolve_steps(horizon, dt)
-    u0 = np.full(n_paths, float(x0[0]))
-    v0 = np.full(n_paths, float(x0[1]))
+    lanes = (n_paths,) if isinstance(p, ModelParams) else (len(p), n_paths)
+    u0 = np.full(lanes, float(x0[0]))
+    v0 = np.full(lanes, float(x0[1]))
     if scheme.is_stochastic:
         dW = _brownian_matrix(seed, n_paths, dt, n_steps)
     else:
@@ -66,7 +72,8 @@ def simulate_paths(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
         return run_batch(scheme, p, u0, v0, horizon, dt, dW,
                          record_stride=record_stride)
     except IntegrationError as exc:
-        raise IntegrationError(f"ensemble run failed: {exc}") from None
+        raise IntegrationError(f"ensemble run failed: {exc}",
+                               cell=exc.cell) from None
 
 
 @dataclass
@@ -246,10 +253,7 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
         raise ParameterError(f"levels must be an integer >= 3, got {levels!r}")
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
-    n_fine = round(horizon / dt_fine)
-    if n_fine < 1 or abs(n_fine * dt_fine - horizon) > 1e-9 * horizon:
-        raise ParameterError(
-            f"horizon {horizon} is not an integer multiple of dt_fine {dt_fine}")
+    n_fine = _resolve_steps(horizon, dt_fine)
     if n_fine % (2 ** levels) != 0:
         raise ParameterError(
             f"dt_fine * 2^levels must divide the horizon: {n_fine} fine steps "
@@ -317,36 +321,60 @@ def _observe(batch: BatchResult, floor: float | None) -> tuple[Observation, floa
     return Observation.UNCLEAR, mean_tavg_v
 
 
+def _failed_cell(m: float, sigma: float, exc: JobMarketError) -> RegimeCell:
+    return RegimeCell(m=float(m), sigma=float(sigma), predicted=None,
+                      observed=None, v_time_avg=None, error=str(exc))
+
+
 def regime_map(base: ModelParams, m_grid: Sequence[float],
                sigma_grid: Sequence[float], *, scheme: Scheme, x0: State,
                horizon: float, dt: float, n_paths: int,
                seed: int) -> list[RegimeCell]:
     """Classify and simulate every (m, sigma) combination.
 
-    Cells are emitted in row-major order (m outer, sigma inner). A failure
-    in one cell (for example sigma = 0, which the classifier rejects) is
-    recorded on that cell and the sweep continues.
+    Cells are emitted in row-major order (m outer, sigma inner). Every
+    cell is validated and classified first; a failure there (for example
+    sigma = 0, which the classifier rejects) is recorded on that cell.
+    The valid cells then advance together in one multi-cell batch that
+    records only the terminal state, sharing one noise block. A cell whose
+    integration fails is recorded with the error a run of it alone would
+    raise, and the others rerun without it; cells are independent lanes,
+    so each cell's outcome is bit-identical to a run of that cell alone.
     """
     if len(m_grid) == 0 or len(sigma_grid) == 0:
         raise ParameterError("m_grid and sigma_grid must be nonempty")
-    cells: list[RegimeCell] = []
-    for m in m_grid:
-        for sigma in sigma_grid:
-            try:
-                params = ModelParams(r=base.r, K=base.K, m=m, d=base.d,
-                                     sigma=sigma)
-                predicted = classify_regime(params).classification
-                batch = simulate_paths(params, scheme, x0, horizon, dt,
-                                       n_paths, seed)
-                observed, tavg = _observe(batch, persistence_floor(params))
-                cells.append(RegimeCell(m=float(m), sigma=float(sigma),
-                                        predicted=predicted, observed=observed,
-                                        v_time_avg=tavg))
-            except JobMarketError as exc:
-                cells.append(RegimeCell(m=float(m), sigma=float(sigma),
-                                        predicted=None, observed=None,
-                                        v_time_avg=None, error=str(exc)))
-    return cells
+    grid = [(m, sigma) for m in m_grid for sigma in sigma_grid]
+    cells: dict[int, RegimeCell] = {}
+    pending: dict[int, tuple[ModelParams, Regime]] = {}
+    for i, (m, sigma) in enumerate(grid):
+        try:
+            params = ModelParams(r=base.r, K=base.K, m=m, d=base.d, sigma=sigma)
+            pending[i] = (params, classify_regime(params).classification)
+        except JobMarketError as exc:
+            cells[i] = _failed_cell(m, sigma, exc)
+
+    while pending:
+        rows = list(pending)
+        try:
+            batch = simulate_paths([pending[i][0] for i in rows], scheme, x0,
+                                   horizon, dt, n_paths, seed,
+                                   record_stride=_resolve_steps(horizon, dt))
+        except JobMarketError as exc:
+            # an error tied to no one cell (a bad horizon, say) would have
+            # failed every cell run alone; a cell's own error fails only it
+            cell = exc.cell if isinstance(exc, IntegrationError) else None
+            failed = rows if cell is None else [rows[cell]]
+            for i in failed:
+                cells[i] = _failed_cell(*grid[i], exc)
+                del pending[i]
+            continue
+        for c, i in enumerate(rows):
+            params, predicted = pending.pop(i)
+            observed, tavg = _observe(batch.cell(c), persistence_floor(params))
+            cells[i] = RegimeCell(m=float(grid[i][0]), sigma=float(grid[i][1]),
+                                  predicted=predicted, observed=observed,
+                                  v_time_avg=tavg)
+    return [cells[i] for i in range(len(grid))]
 
 
 def regime_cells_to_csv(cells: Sequence[RegimeCell], fp: TextIO) -> None:

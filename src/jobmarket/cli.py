@@ -173,16 +173,14 @@ def _cmd_thresholds(cfg: ScenarioConfig, args) -> int:
 
 def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     out = _out_dir(cfg, args)
-    n_steps = _resolve_steps(cfg.horizon, cfg.dt)
+    deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
+                             cfg.dt, record_stride=cfg.record_stride)
+    stochastic = deterministic  # an rk4 config has no noisy path of its own
     if cfg.scheme.is_stochastic:
+        n_steps = _resolve_steps(cfg.horizon, cfg.dt)
         path = brownian.generate(cfg.seed, 0, cfg.dt, n_steps)
         stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon,
                               cfg.dt, path=path, record_stride=cfg.record_stride)
-    else:
-        stochastic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
-                              cfg.dt, record_stride=cfg.record_stride)
-    deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
-                             cfg.dt, record_stride=cfg.record_stride)
     with open(out / "stochastic.csv", "w", encoding="utf-8", newline="\n") as fp:
         stochastic.to_csv(fp)
     with open(out / "deterministic.csv", "w", encoding="utf-8", newline="\n") as fp:

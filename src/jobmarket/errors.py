@@ -24,4 +24,13 @@ class ZeroNoiseError(JobMarketError, ValueError):
 
 
 class IntegrationError(JobMarketError, RuntimeError):
-    """Numerical failure while advancing a trajectory (exit code 4)."""
+    """Numerical failure while advancing a trajectory (exit code 4).
+
+    ``cell`` names the failing row of a multi-cell batch (see
+    ``run_batch``), so a caller can drop that cell and rerun the others;
+    it is None for a single-cell run.
+    """
+
+    def __init__(self, message: str, cell: int | None = None) -> None:
+        super().__init__(message)
+        self.cell = cell

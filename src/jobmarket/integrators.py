@@ -30,9 +30,10 @@ resolution while integrating, so thinned recording never degrades them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import TextIO
+from types import SimpleNamespace
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -347,38 +348,57 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
 class BatchResult:
     """Per-path outputs of a vectorised run on a shared time grid.
 
-    U and V have shape (n_paths, n_recorded); each path's column sequence
-    is bit-identical to a scalar simulate() of that path alone.
+    U and V have shape (n_paths, n_recorded), or (cells, n_paths,
+    n_recorded) for a multi-cell run; the per-path arrays drop the last
+    axis. Each path's column sequence is bit-identical to a scalar
+    simulate() of that path alone.
     """
 
     times: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    clamped: np.ndarray          # (n_paths, n_recorded) bool
-    clamp_counts: np.ndarray     # (n_paths,) int
-    integral_u: np.ndarray       # (n_paths,) full-resolution trapezoids
+    clamped: np.ndarray          # lane shape + (n_recorded,) bool
+    clamp_counts: np.ndarray     # lane shape, int
+    integral_u: np.ndarray       # lane shape, full-resolution trapezoids
     integral_v: np.ndarray
-    max_total: np.ndarray        # (n_paths,) running max of u + v
+    max_total: np.ndarray        # lane shape, running max of u + v
     scheme: Scheme | None = None
-    params: ModelParams | None = None
+    params: ModelParams | tuple[ModelParams, ...] | None = None
 
     @property
     def n_paths(self) -> int:
-        return self.U.shape[0]
+        """Number of lanes (cells times paths for a multi-cell run)."""
+        return self.clamp_counts.size
 
     @property
     def terminal_u(self) -> np.ndarray:
-        return self.U[:, -1]
+        return self.U[..., -1]
 
     @property
     def terminal_v(self) -> np.ndarray:
-        return self.V[:, -1]
+        return self.V[..., -1]
 
     def time_average_v(self) -> np.ndarray:
         return self.integral_v / float(self.times[-1])
 
-    def time_average_u(self) -> np.ndarray:
-        return self.integral_u / float(self.times[-1])
+    def cell(self, c: int) -> "BatchResult":
+        """Row c of a multi-cell run as a single-cell result of contiguous
+        copies, laid out exactly as a run of that cell alone."""
+        return BatchResult(
+            times=self.times, U=self.U[c].copy(), V=self.V[c].copy(),
+            clamped=self.clamped[c].copy(),
+            clamp_counts=self.clamp_counts[c].copy(),
+            integral_u=self.integral_u[c].copy(),
+            integral_v=self.integral_v[c].copy(),
+            max_total=self.max_total[c].copy(),
+            scheme=self.scheme, params=self.params[c])
+
+
+def _stack_params(ps: tuple[ModelParams, ...]) -> SimpleNamespace:
+    """The constants of several ModelParams as (cells, 1) columns, which
+    broadcast row c of a (cells, n_paths) lane array against ps[c]."""
+    return SimpleNamespace(**{f.name: np.array([[getattr(q, f.name)] for q in ps])
+                              for f in fields(ModelParams)})
 
 
 def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,23 +406,51 @@ def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(x >= _TINY, x, 0.0), events
 
 
-def run_batch(scheme: Scheme, p: ModelParams, u0: np.ndarray, v0: np.ndarray,
-              horizon: float, dt: float, dW: np.ndarray | None,
-              record_stride: int = 1) -> BatchResult:
+def _rk4_failure(un: np.ndarray, vn: np.ndarray, bad_u: np.ndarray,
+                 bad_v: np.ndarray, t: float) -> IntegrationError:
+    """The error for the first failing cell, worded as a run of that cell
+    alone would word it: its first bad path in u, else in v."""
+    cell = None
+    if un.ndim == 2:
+        cell = int(np.argmax(np.any(bad_u | bad_v, axis=1)))
+        un, vn, bad_u, bad_v = un[cell], vn[cell], bad_u[cell], bad_v[cell]
+    arr, bad = (un, bad_u) if np.any(bad_u) else (vn, bad_v)
+    i = int(np.argmax(bad))
+    return IntegrationError(
+        f"path {i}: RK4 went negative at t={t} (value {arr[i]}); "
+        "reduce the step size", cell=cell)
+
+
+def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
+              u0: np.ndarray, v0: np.ndarray, horizon: float, dt: float,
+              dW: np.ndarray | None, record_stride: int = 1) -> BatchResult:
     """Advance many paths at once; path i uses increment row dW[i].
 
+    With one ModelParams, u0 and v0 are 1-D arrays of n_paths lanes. With
+    a sequence of params sets (cells), they have shape (cells, n_paths):
+    row c runs under p[c], and path i of every row is driven by the same
+    increment row dW[i], so a whole parameter grid shares one time loop.
+
     Aggregation-free: every per-path quantity is computed independently and
-    elementwise, so results do not depend on which paths share a batch.
+    elementwise, so results do not depend on which paths or cells share a
+    batch. An RK4 failure names its row in IntegrationError.cell.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
     u = np.asarray(u0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
-    if u.shape != v.shape or u.ndim != 1:
-        raise ParameterError("u0 and v0 must be 1-D arrays of equal length")
+    if isinstance(p, ModelParams):
+        coeffs, cells = p, ()
+    else:
+        p = tuple(p)
+        coeffs, cells = _stack_params(p), (len(p),)
+    if u.shape != v.shape or u.ndim != len(cells) + 1 or u.shape[:-1] != cells:
+        raise ParameterError("u0 and v0 must be 1-D arrays of equal length, "
+                             "or of shape (cells, n_paths) for a sequence "
+                             "of params")
     if np.any(u < 0.0) or np.any(v < 0.0) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ParameterError("initial states must be finite and nonnegative")
-    n_paths = len(u)
+    n_paths = u.shape[-1]
 
     if scheme.is_stochastic:
         if dW is None or dW.shape[0] != n_paths or dW.shape[1] < n_steps:
@@ -413,39 +461,36 @@ def run_batch(scheme: Scheme, p: ModelParams, u0: np.ndarray, v0: np.ndarray,
 
     n_rec = n_steps // record_stride + 1
     times = np.empty(n_rec)
-    U = np.empty((n_paths, n_rec))
-    V = np.empty((n_paths, n_rec))
-    clamped_rows = np.zeros((n_paths, n_rec), dtype=bool)
+    U = np.empty(u.shape + (n_rec,))
+    V = np.empty(u.shape + (n_rec,))
+    clamped_rows = np.zeros(u.shape + (n_rec,), dtype=bool)
     times[0] = 0.0
-    U[:, 0] = u
-    V[:, 0] = v
+    U[..., 0] = u
+    V[..., 0] = v
 
-    integral_u = np.zeros(n_paths)
-    integral_v = np.zeros(n_paths)
+    integral_u = np.zeros(u.shape)
+    integral_v = np.zeros(u.shape)
     max_total = u + v
-    clamp_counts = np.zeros(n_paths, dtype=np.int64)
-    window_clamped = np.zeros(n_paths, dtype=bool)
+    clamp_counts = np.zeros(u.shape, dtype=np.int64)
+    window_clamped = np.zeros(u.shape, dtype=bool)
     row = 1
     for k in range(1, n_steps + 1):
         if scheme is Scheme.RK4:
-            un, vn = _rk4_next(u, v, dt, p)
-            scale = np.maximum(1.0, np.abs(u) + np.abs(v))
-            for arr in (un, vn):
-                bad = arr < -_RK4_CLAMP_REL * scale
-                if np.any(bad):
-                    i = int(np.argmax(bad))
-                    raise IntegrationError(
-                        f"path {i}: RK4 went negative at t={(k - 1) * dt} "
-                        f"(value {arr[i]}); reduce the step size")
+            un, vn = _rk4_next(u, v, dt, coeffs)
+            floor = -_RK4_CLAMP_REL * np.maximum(1.0, np.abs(u) + np.abs(v))
+            bad_u = un < floor
+            bad_v = vn < floor
+            if np.any(bad_u) or np.any(bad_v):
+                raise _rk4_failure(un, vn, bad_u, bad_v, (k - 1) * dt)
             un = np.where(un < 0.0, 0.0, un)
             vn = np.where(vn < 0.0, 0.0, vn)
-            events = np.zeros(n_paths, dtype=bool)
+            events = np.zeros(u.shape, dtype=bool)
         else:
             dB = dW[:, k - 1]
             if scheme is Scheme.EULER_MARUYAMA:
-                un, vn = _em_next(u, v, dt, dB, p)
+                un, vn = _em_next(u, v, dt, dB, coeffs)
             else:
-                un, vn = _milstein_next(u, v, dt, dB, p)
+                un, vn = _milstein_next(u, v, dt, dB, coeffs)
             un, ev_u = _clamp_array(un)
             vn, ev_v = _clamp_array(vn)
             events = ev_u | ev_v
@@ -457,9 +502,9 @@ def run_batch(scheme: Scheme, p: ModelParams, u0: np.ndarray, v0: np.ndarray,
         np.maximum(max_total, u + v, out=max_total)
         if k % record_stride == 0:
             times[row] = k * dt
-            U[:, row] = u
-            V[:, row] = v
-            clamped_rows[:, row] = window_clamped
+            U[..., row] = u
+            V[..., row] = v
+            clamped_rows[..., row] = window_clamped
             window_clamped[:] = False
             row += 1
 

@@ -1,19 +1,27 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobmarket import (
     IntegrationError,
+    JobMarketError,
     ModelParams,
     ParameterError,
     Regime,
     Scheme,
     State,
     Trajectory,
+    classify_regime,
     generate,
+    persistence_floor,
     simulate,
 )
 from jobmarket.analysis import (
     Observation,
+    _observe,
     detect_extinction,
     ensemble,
     regime_cells_to_csv,
@@ -322,3 +330,85 @@ def test_regime_cells_csv_layout(tmp_path):
     assert good[3] in ("v_extinct", "v_persists", "unclear")
     failed = lines[2].split(",")
     assert failed[2] == "" and failed[3] == "" and failed[4] == ""
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _outcomes(cells):
+    return [(c.predicted, c.observed, _bits(c.v_time_avg), c.error)
+            for c in cells]
+
+
+def _per_cell_reference(base, m_grid, sigma_grid, scheme, x0, horizon, dt,
+                        n_paths, seed):
+    """Each cell run on its own through simulate_paths and _observe."""
+    out = []
+    for m in m_grid:
+        for sigma in sigma_grid:
+            try:
+                params = ModelParams(r=base.r, K=base.K, m=m, d=base.d,
+                                     sigma=sigma)
+                predicted = classify_regime(params).classification
+                batch = simulate_paths(params, scheme, x0, horizon, dt,
+                                       n_paths, seed)
+                observed, tavg = _observe(batch, persistence_floor(params))
+            except JobMarketError as exc:
+                out.append((None, None, None, str(exc)))
+                continue
+            out.append((predicted, observed, _bits(tavg), None))
+    return out
+
+
+@pytest.mark.parametrize("base,m_grid,sigma_grid,scheme,horizon,dt,n_paths", [
+    (P_FIG2, [0.05, 0.1, 0.2], [0.001, 0.01, 0.1], Scheme.MILSTEIN,
+     5.0, 0.01, 11),
+    (P_FIG2, [0.05, 0.2], [0.0, 0.01], Scheme.MILSTEIN, 5.0, 0.01, 1),
+    (P_FIG1, [0.001, 0.3], [0.09, 0.0, 0.5], Scheme.EULER_MARUYAMA,
+     5.0, 0.01, 9),
+    (P_FIG1, [0.001, 0.1, 0.3], [0.09], Scheme.EULER_MARUYAMA, 5.0, 0.01, 1),
+    # cells 5.0 and 3.0 fail mid-run under RK4 at this step size
+    (P_FIG1, [5.0, 0.01, 3.0, 0.2], [0.09, 0.0, 0.3], Scheme.RK4,
+     10.0, 0.5, 3),
+])
+def test_regime_map_matches_per_cell_runs(base, m_grid, sigma_grid, scheme,
+                                          horizon, dt, n_paths):
+    kwargs = dict(scheme=scheme, x0=State(50.0, 10.0), horizon=horizon,
+                  dt=dt, n_paths=n_paths, seed=20240101)
+    cells = regime_map(base, m_grid, sigma_grid, **kwargs)
+    assert [(c.m, c.sigma) for c in cells] == [
+        (m, s) for m in m_grid for s in sigma_grid]
+    assert _outcomes(cells) == _per_cell_reference(
+        base, m_grid, sigma_grid, scheme, kwargs["x0"], horizon, dt,
+        n_paths, kwargs["seed"])
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(m_grid=st.lists(st.sampled_from([0.001, 0.05, 0.1, 0.3]),
+                       min_size=1, max_size=3),
+       sigma_grid=st.lists(st.sampled_from([0.0, 0.001, 0.01, 0.09, 0.5]),
+                           min_size=1, max_size=3),
+       scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       n_paths=st.integers(1, 12),
+       seed=st.integers(0, 2**64 - 1))
+def test_regime_map_matches_per_cell_runs_on_random_grids(
+        m_grid, sigma_grid, scheme, n_paths, seed):
+    x0 = State(50.0, 10.0)
+    cells = regime_map(P_FIG2, m_grid, sigma_grid, scheme=scheme, x0=x0,
+                       horizon=1.0, dt=0.01, n_paths=n_paths, seed=seed)
+    assert _outcomes(cells) == _per_cell_reference(
+        P_FIG2, m_grid, sigma_grid, scheme, x0, 1.0, 0.01, n_paths, seed)
+
+
+def test_regime_map_isolates_a_failing_rk4_cell():
+    cells = regime_map(P_FIG1, m_grid=[0.01, 5.0], sigma_grid=[0.09],
+                       scheme=Scheme.RK4, x0=State(50.0, 10.0), horizon=10.0,
+                       dt=0.5, n_paths=2, seed=20240101)
+    good, failed = cells
+    assert good.error is None and good.observed is Observation.V_PERSISTS
+    with pytest.raises(IntegrationError) as alone:
+        simulate_paths(ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09),
+                       Scheme.RK4, State(50.0, 10.0), 10.0, 0.5, 2, 20240101)
+    assert failed.error == str(alone.value)
+    assert failed.predicted is None and failed.observed is None

@@ -268,6 +268,22 @@ def test_sweep_records_cells_and_errors(tmp_path):
     assert len(error_rows) == 2  # the sigma = 0 column fails per cell
 
 
+def test_sweep_isolates_a_failing_rk4_cell(tmp_path):
+    # m = 5.0 drives RK4 negative at dt 0.5; only that cell fails
+    cfg = write_config(tmp_path, scheme="rk4", dt=0.5, horizon=10.0,
+                       n_paths=2, record_stride=1,
+                       params={"r": 1.0, "K": 100.0, "m": 0.001, "d": 0.2,
+                               "sigma": 0.09})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--m-grid", "0.01,5.0", "--sigma-grid", "0.09",
+                 "--quiet"]) == 0
+    assert (out / "sweep.csv").read_text() == (
+        "m,sigma,predicted,observed,v_time_avg\n"
+        "0.01,0.09,extinction,v_persists,72.17673201394942\n"
+        "5.0,0.09,,,\n")
+
+
 def test_sweep_empty_grid_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -344,3 +344,59 @@ def test_batch_validates_shapes():
     with pytest.raises(ParameterError):
         run_batch(Scheme.RK4, P_FIG1, np.array([1.0]), np.array([1.0]),
                   1.0, 0.01, np.zeros((1, 100)))  # rk4 takes no increments
+
+
+# ---------------------------------------------------------------------------
+# multi-cell batches: each row is bit-identical to a run of its cell alone
+
+P_NOISY = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.5)  # clamps
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_multi_cell_rows_match_single_cell_runs(scheme):
+    cells = (P_FIG1, P_FIG2, P_NOISY)
+    n_paths, horizon, dt = 5, 2.0, 0.01
+    n_steps = round(horizon / dt)
+    dW = None
+    if scheme.is_stochastic:
+        dW = np.stack([generate(3, i, dt, n_steps).increments
+                       for i in range(n_paths)])
+    u0 = np.linspace(1.0, 60.0, n_paths)
+    v0 = np.linspace(12.0, 0.5, n_paths)
+    batch = run_batch(scheme, list(cells), np.tile(u0, (3, 1)),
+                      np.tile(v0, (3, 1)), horizon, dt, dW, record_stride=10)
+    assert batch.U.shape == (3, n_paths, n_steps // 10 + 1)
+    assert batch.n_paths == 3 * n_paths
+    if scheme.is_stochastic:
+        assert batch.clamp_counts.sum() > 0
+    for c, p in enumerate(cells):
+        alone = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10)
+        row = batch.cell(c)
+        assert row.params is p
+        assert np.array_equal(row.times, alone.times)
+        for name in ("U", "V", "clamped", "clamp_counts", "integral_u",
+                     "integral_v", "max_total"):
+            assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_multi_cell_rk4_failure_names_its_cell():
+    ok = ModelParams(r=1.0, K=100.0, m=0.01, d=0.2, sigma=0.09)
+    bad = ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09)
+    u0, v0 = np.full(2, 50.0), np.full(2, 10.0)
+    with pytest.raises(IntegrationError) as alone:
+        run_batch(Scheme.RK4, bad, u0, v0, 10.0, 0.5, None)
+    assert alone.value.cell is None
+    with pytest.raises(IntegrationError) as stacked:
+        run_batch(Scheme.RK4, [ok, bad, ok], np.tile(u0, (3, 1)),
+                  np.tile(v0, (3, 1)), 10.0, 0.5, None)
+    assert stacked.value.cell == 1
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_multi_cell_validates_shapes():
+    with pytest.raises(ParameterError):  # one row per params set
+        run_batch(Scheme.RK4, [P_FIG1, P_FIG2], np.ones((3, 2)),
+                  np.ones((3, 2)), 1.0, 0.01, None)
+    with pytest.raises(ParameterError):  # a single params set takes 1-D lanes
+        run_batch(Scheme.RK4, P_FIG1, np.ones((1, 2)), np.ones((1, 2)),
+                  1.0, 0.01, None)
