@@ -42,13 +42,6 @@ EXTINCT_EPS = 1e-2
 PERSIST_EPS_DEFAULT = 1e-1
 
 
-def _brownian_matrix(seed: int, n_paths: int, dt: float, n_steps: int) -> np.ndarray:
-    out = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        out[i] = brownian.generate(seed, i, dt, n_steps).increments
-    return out
-
-
 def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
                    x0: State, horizon: float, dt: float, n_paths: int,
                    seed: int, record_stride: int = 1) -> BatchResult:
@@ -64,10 +57,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     lanes = (n_paths,) if isinstance(p, ModelParams) else (len(p), n_paths)
     u0 = np.full(lanes, float(x0[0]))
     v0 = np.full(lanes, float(x0[1]))
-    if scheme.is_stochastic:
-        dW = _brownian_matrix(seed, n_paths, dt, n_steps)
-    else:
-        dW = None
+    dW = brownian.NoiseStream(seed, n_paths, dt, n_steps) if scheme.is_stochastic else None
     try:
         return run_batch(scheme, p, u0, v0, horizon, dt, dW,
                          record_stride=record_stride)
@@ -251,28 +241,29 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
                              "RK4 has no driving path to couple")
     if isinstance(levels, bool) or not isinstance(levels, int) or levels < 3:
         raise ParameterError(f"levels must be an integer >= 3, got {levels!r}")
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
-        raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
     n_fine = _resolve_steps(horizon, dt_fine)
     if n_fine % (2 ** levels) != 0:
         raise ParameterError(
             f"dt_fine * 2^levels must divide the horizon: {n_fine} fine steps "
             f"are not a multiple of {2 ** levels}")
 
-    dW = _brownian_matrix(seed, n_paths, dt_fine, n_fine)
+    stream = brownian.NoiseStream(seed, n_paths, dt_fine, n_fine)
+    noise = np.empty((n_fine, n_paths))  # time-major; noise.T is read uncopied
+    for start, block in zip(range(0, n_fine, stream.block), stream):
+        noise[start:start + len(block)] = block
+    del block, stream  # free the stream's buffers before the first run
     u0 = np.full(n_paths, float(x0[0]))
     v0 = np.full(n_paths, float(x0[1]))
-    ref = run_batch(scheme, p, u0, v0, horizon, dt_fine, dW,
+    ref = run_batch(scheme, p, u0, v0, horizon, dt_fine, noise.T,
                     record_stride=n_fine)
 
     level_errors: list[tuple[float, float]] = []
     for level in range(1, levels + 1):
         factor = 2 ** level
         dt_level = dt_fine * factor
-        dW_level = brownian.group_sums(dW, factor)
-        n_level = n_fine // factor
-        out = run_batch(scheme, p, u0, v0, horizon, dt_level, dW_level,
-                        record_stride=n_level)
+        out = run_batch(scheme, p, u0, v0, horizon, dt_level,
+                        brownian.group_sums(noise, factor).T,  # freed after the run
+                        record_stride=n_fine // factor)
         err = float(np.mean(np.abs(out.terminal_u - ref.terminal_u)
                             + np.abs(out.terminal_v - ref.terminal_v)))
         if err <= 0.0:

@@ -8,7 +8,7 @@ or concurrently, without changing a single bit of any path.
 
 The sampling algorithm is pinned per release: PCG64 driven standard
 normals (numpy's ziggurat) scaled by sqrt(dt). Regenerating with the same
-(seed, path_index, dt, n_steps) is bit-identical.
+(seed, path_index, dt, n_steps) is bit-identical, also through a NoiseStream.
 
 Coarsening sums consecutive increments in fixed left-to-right order; it is
 the device that lets one fine path drive several step sizes in coupled
@@ -26,11 +26,14 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["BrownianPath", "generate", "coarsen", "save_path", "load_path"]
+__all__ = ["BrownianPath", "NoiseStream", "generate", "coarsen", "save_path", "load_path"]
 
 _MAGIC = b"BPATH1\x00\x00"
 _HEADER = struct.Struct("<8sdIQI")  # magic, dt, n_steps, seed, path_index
 assert _HEADER.size == 32
+
+_BLOCK_BYTES = 16_000_000  # noise resident per stream: row buffer plus block
+_BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class BrownianPath:
         return out
 
 
-def _validate_key(seed: int, path_index: int) -> None:
+def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
@@ -73,6 +76,23 @@ def _validate_key(seed: int, path_index: int) -> None:
         raise ParameterError(f"path_index must be an integer, got {path_index!r}")
     if not 0 <= path_index < 2**32:
         raise ParameterError(f"path_index must fit in 32 bits, got {path_index}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
+        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
+    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)) or not dt > 0.0 or not math.isfinite(dt):
+        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
+    return float(dt)
+
+
+def _blocks(seed: int, paths, dt: float, n_steps: int, block: int):
+    """The pinned sampler: row j of each view holds stream (seed, paths[j])'s next increments."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in paths]
+    rows = np.empty((len(rngs), block))
+    for start in range(0, n_steps, block):
+        b = min(block, n_steps - start)
+        for rng, row in zip(rngs, rows[:, :b]):
+            rng.standard_normal(out=row)
+        rows[:, :b] *= math.sqrt(dt)
+        yield rows[:, :b]
 
 
 def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPath:
@@ -81,35 +101,52 @@ def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPat
     Deterministic: the same key always yields the same bits, independent of
     any other stream that has been drawn from.
     """
-    _validate_key(seed, path_index)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)) or not dt > 0.0 or not math.isfinite(dt):
-        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
-    dt = float(dt)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, path_index]))
-    increments = rng.standard_normal(n_steps) * math.sqrt(dt)
+    dt = _validate(seed, path_index, dt, n_steps)
+    increments = next(_blocks(seed, [path_index], dt, n_steps, n_steps))[0]  # one block
     increments.flags.writeable = False
     return BrownianPath(dt=dt, increments=increments, seed=seed,
                         path_index=path_index)
 
 
+class NoiseStream:
+    """Paths i < n_paths of generate(seed, i, dt, n_steps), bit for bit, as time-major
+    (<= block, n_paths) views of one reused buffer; nbytes counts the noise bytes resident."""
+
+    def __init__(self, seed: int, n_paths: int, dt: float, n_steps: int):
+        if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
+            raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
+        self.dt = _validate(seed, n_paths - 1, dt, n_steps)
+        self.seed, self.n_paths, self.n_steps = seed, n_paths, n_steps
+        self.block = self._block_steps(n_paths, n_steps)
+        self.nbytes = 16 * n_paths * self.block
+
+    @staticmethod
+    def _block_steps(n_paths: int, n_steps: int) -> int:
+        return max(1, min(n_steps, _BLOCK_STEPS, _BLOCK_BYTES // (16 * n_paths)))
+
+    def __iter__(self):
+        out = np.empty((self.block, self.n_paths))
+        for rows in _blocks(self.seed, range(self.n_paths), self.dt, self.n_steps, self.block):
+            out[:rows.shape[1]] = rows.T
+            yield out[:rows.shape[1]]
+
+
 def group_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive groups of ``factor`` along the last axis.
+    """Sum consecutive groups of ``factor`` along the first (time) axis.
 
     Summation within each group is strictly left to right, the pinned
-    order, regardless of factor, so results are reproducible and match a
-    scalar running sum bit for bit.
+    order, regardless of factor, so each column matches a scalar running
+    sum bit for bit.
     """
-    n = increments.shape[-1]
+    n = increments.shape[0]
     if n % factor != 0:
         raise ParameterError(
             f"factor {factor} does not divide the number of increments {n}"
         )
-    grouped = increments.reshape(increments.shape[:-1] + (n // factor, factor))
-    acc = grouped[..., 0].copy()
+    grouped = increments.reshape((n // factor, factor) + increments.shape[1:])
+    acc = grouped[:, 0].copy()
     for j in range(1, factor):
-        acc += grouped[..., j]
+        acc += grouped[:, j]
     return acc
 
 

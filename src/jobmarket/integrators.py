@@ -29,6 +29,7 @@ resolution while integrating, so thinned recording never degrades them.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -37,7 +38,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .brownian import BrownianPath
+from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
 
@@ -421,10 +422,25 @@ def _rk4_failure(un: np.ndarray, vn: np.ndarray, bad_u: np.ndarray,
         "reduce the step size", cell=cell)
 
 
+def _noise_rows(dW, n_paths: int, n_steps: int):
+    """Increment rows from a stream's time-major blocks, or a row-major array's."""
+    blocks = dW
+    if isinstance(dW, np.ndarray) and dW.ndim == 2:
+        b = NoiseStream._block_steps(n_paths, n_steps)
+        blocks = (np.ascontiguousarray(dW.T[s:s + b]) for s in range(0, n_steps, b))
+    elif isinstance(dW, np.ndarray) or not hasattr(dW, "nbytes"):
+        raise ParameterError(f"dW must be a ({n_paths}, >= {n_steps}) array or a stream with nbytes")
+    for block in blocks:
+        if not isinstance(block, np.ndarray) or block.shape[1:] != (n_paths,):
+            raise ParameterError(f"dW must hold {n_paths} lanes per step, got {np.shape(block)}")
+        yield from block
+    raise ParameterError(f"dW covers fewer than the {n_steps} steps needed")
+
+
 def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
               u0: np.ndarray, v0: np.ndarray, horizon: float, dt: float,
-              dW: np.ndarray | None, record_stride: int = 1) -> BatchResult:
-    """Advance many paths at once; path i uses increment row dW[i].
+              dW: np.ndarray | NoiseStream | None, record_stride: int = 1) -> BatchResult:
+    """Advance many paths at once; path i uses dW[i], or column i of a stream.
 
     With one ModelParams, u0 and v0 are 1-D arrays of n_paths lanes. With
     a sequence of params sets (cells), they have shape (cells, n_paths):
@@ -452,12 +468,9 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
         raise ParameterError("initial states must be finite and nonnegative")
     n_paths = u.shape[-1]
 
-    if scheme.is_stochastic:
-        if dW is None or dW.shape[0] != n_paths or dW.shape[1] < n_steps:
-            raise ParameterError(
-                f"dW must have shape ({n_paths}, >= {n_steps})")
-    elif dW is not None:
+    if not scheme.is_stochastic and dW is not None:
         raise ParameterError("deterministic RK4 takes no increments")
+    noise = _noise_rows(dW, n_paths, n_steps) if scheme.is_stochastic else itertools.repeat(None)
 
     n_rec = n_steps // record_stride + 1
     times = np.empty(n_rec)
@@ -474,7 +487,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     clamp_counts = np.zeros(u.shape, dtype=np.int64)
     window_clamped = np.zeros(u.shape, dtype=bool)
     row = 1
-    for k in range(1, n_steps + 1):
+    for k, dB in zip(range(1, n_steps + 1), noise):
         if scheme is Scheme.RK4:
             un, vn = _rk4_next(u, v, dt, coeffs)
             floor = -_RK4_CLAMP_REL * np.maximum(1.0, np.abs(u) + np.abs(v))
@@ -486,7 +499,6 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
             vn = np.where(vn < 0.0, 0.0, vn)
             events = np.zeros(u.shape, dtype=bool)
         else:
-            dB = dW[:, k - 1]
             if scheme is Scheme.EULER_MARUYAMA:
                 un, vn = _em_next(u, v, dt, dB, coeffs)
             else:

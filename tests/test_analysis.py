@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,3 +413,17 @@ def test_regime_map_isolates_a_failing_rk4_cell():
                        Scheme.RK4, State(50.0, 10.0), 10.0, 0.5, 2, 20240101)
     assert failed.error == str(alone.value)
     assert failed.predicted is None and failed.observed is None
+
+
+def test_simulate_paths_streams_noise_in_bounded_memory():
+    n_paths, n_steps, dt = 1000, 8192, 2.0 ** -10
+    full_matrix = n_paths * n_steps * 8  # 65.5 MB of increments
+    tracemalloc.start()
+    try:
+        batch = simulate_paths(P_FIG1, Scheme.MILSTEIN, State(50.0, 10.0),
+                               n_steps * dt, dt, n_paths, 7, record_stride=n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.U.shape == (n_paths, 2)
+    assert peak < full_matrix / 2

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jobmarket import BrownianPath, ParameterError, coarsen, generate, load_path, save_path
+from jobmarket import brownian
 from jobmarket.brownian import group_sums
+from jobmarket.brownian import NoiseStream
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +191,69 @@ def test_load_rejects_corrupt_data():
         load_path(io.BytesIO(data[:40]))  # truncated increments
     with pytest.raises(ParameterError):
         load_path(io.BytesIO(data[:16]))  # truncated header
+
+
+def test_group_sums_of_a_time_major_matrix_sums_each_column_alone():
+    fine = np.stack([generate(17, i, 0.001, 512).increments for i in range(5)],
+                    axis=1)  # (n_steps, n_paths), time-major
+    for factor in (1, 2, 8, 64):
+        grouped = group_sums(fine, factor)
+        assert grouped.shape == (512 // factor, 5)
+        for i in range(5):
+            assert grouped[:, i].tobytes() == group_sums(fine[:, i], factor).tobytes()
+    with pytest.raises(ParameterError):
+        group_sums(fine, 3)  # 3 does not divide 512 steps
+
+
+# ---------------------------------------------------------------------------
+# time-major noise streams
+
+def test_generate_is_the_pinned_pcg64_sampler():
+    # the documented algorithm written out, so the sampler that generate and
+    # NoiseStream share cannot drift from it without failing here
+    for seed, i, dt, n in [(0, 0, 0.01, 1000), (2**64 - 1, 2**32 - 1, 3.0, 17)]:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        expected = rng.standard_normal(n) * math.sqrt(dt)
+        assert generate(seed, i, dt, n).increments.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(1, 6),
+       n_steps=st.integers(1, 40), step_cap=st.integers(1, 9),
+       byte_cap=st.integers(1, 800), dt=st.sampled_from([0.01, 1e-6, 0.5, 3.0]))
+def test_stream_columns_equal_generated_paths(monkeypatch, seed, n_paths,
+                                              n_steps, step_cap, byte_cap, dt):
+    # shrunken caps put block boundaries inside short horizons
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    monkeypatch.setattr(brownian, "_BLOCK_BYTES", byte_cap)
+    stream = NoiseStream(seed, n_paths, dt, n_steps)
+    assert stream.block == max(1, min(n_steps, step_cap, byte_cap // (16 * n_paths)))
+    blocks = [block.copy() for block in stream]  # blocks share one buffer
+    assert all(b.shape[1] == n_paths and len(b) <= stream.block for b in blocks)
+    stacked = np.concatenate(blocks)
+    assert stacked.shape == (n_steps, n_paths)
+    for i in range(n_paths):
+        expected = generate(seed, i, dt, n_steps).increments
+        assert stacked[:, i].tobytes() == expected.tobytes()
+
+
+def test_stream_blocks_are_contiguous_bounded_and_redrawn_per_iteration():
+    stream = NoiseStream(3, 4000, 0.01, 10_000)
+    # a row buffer and a block, both (block x 4000) doubles, under the cap
+    assert stream.block == brownian._BLOCK_BYTES // (2 * 4000 * 8)
+    assert stream.nbytes == 2 * stream.block * 4000 * 8 <= brownian._BLOCK_BYTES
+    first = next(iter(stream)).copy()
+    block = next(iter(stream))
+    assert block.flags.c_contiguous and block.shape == (stream.block, 4000)
+    assert np.array_equal(block, first)
+    narrow = NoiseStream(3, 10, 0.01, 10_000)
+    assert narrow.block == brownian._BLOCK_STEPS < 10_000
+
+
+def test_stream_validates_its_key_and_grid():
+    for args in [(-1, 2, 0.01, 10), (2**64, 2, 0.01, 10), (1, 0, 0.01, 10),
+                 (1, 2.5, 0.01, 10), (1, True, 0.01, 10), (1, 2, 0.0, 10),
+                 (1, 2, float("nan"), 10), (1, 2, 0.01, 0)]:
+        with pytest.raises(ParameterError):
+            NoiseStream(*args)

@@ -18,6 +18,8 @@ from jobmarket import (
     step_milstein,
     step_rk4,
 )
+from jobmarket import brownian
+from jobmarket.brownian import NoiseStream
 from jobmarket.integrators import _milstein_corr
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
@@ -400,3 +402,87 @@ def test_multi_cell_validates_shapes():
     with pytest.raises(ParameterError):  # a single params set takes 1-D lanes
         run_batch(Scheme.RK4, P_FIG1, np.ones((1, 2)), np.ones((1, 2)),
                   1.0, 0.01, None)
+
+
+# ---------------------------------------------------------------------------
+# streamed, time-major noise: the same bits as the row-major matrix
+
+def _noise_matrix(seed, n_paths, dt, n_steps):
+    return np.stack([generate(seed, i, dt, n_steps).increments
+                     for i in range(n_paths)])
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
+@pytest.mark.parametrize("cells", [(P_FIG1,), (P_FIG1, P_NOISY, P_FIG2)])
+@pytest.mark.parametrize("stride", [1, 10, 200])
+def test_stream_and_row_major_matrix_give_identical_batches(monkeypatch, scheme,
+                                                           cells, stride):
+    # 7-step blocks: many boundaries and a ragged last block in 200 steps
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 7)
+    n_paths, horizon, dt, n_steps = 5, 2.0, 0.01, 200
+    u0 = np.linspace(1.0, 60.0, n_paths)
+    v0 = np.linspace(12.0, 0.5, n_paths)
+    p = cells[0] if len(cells) == 1 else list(cells)
+    if len(cells) > 1:
+        u0, v0 = np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
+    streamed = run_batch(scheme, p, u0, v0, horizon, dt,
+                         NoiseStream(8, n_paths, dt, n_steps), record_stride=stride)
+    # a longer matrix than needed: only its first n_steps columns are read
+    matrix = run_batch(scheme, p, u0, v0, horizon, dt,
+                       _noise_matrix(8, n_paths, dt, n_steps + 13),
+                       record_stride=stride)
+    if P_NOISY in cells:
+        assert streamed.clamp_counts.sum() > 0
+    for name in ("times", "U", "V", "clamped", "clamp_counts", "integral_u",
+                 "integral_v", "max_total"):
+        assert getattr(streamed, name).tobytes() == getattr(matrix, name).tobytes(), name
+
+
+class _Blocks:
+    """A hand-built noise stream that yields the given blocks."""
+
+    def __init__(self, *blocks):
+        self.blocks = blocks
+        self.nbytes = sum(np.asarray(b).nbytes for b in blocks)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def _run_milstein(dW, n_paths=2):
+    return run_batch(Scheme.MILSTEIN, P_FIG1, np.full(n_paths, 1.0),
+                     np.full(n_paths, 1.0), 1.0, 0.01, dW)
+
+
+def test_run_batch_rejects_a_3d_noise_array():
+    with pytest.raises(ParameterError):
+        _run_milstein(np.zeros((2, 100, 1)))
+
+
+def test_run_batch_rejects_a_nested_list():
+    with pytest.raises(ParameterError):
+        _run_milstein([[0.0] * 100, [0.0] * 100])
+
+
+def test_run_batch_rejects_a_bare_generator():
+    with pytest.raises(ParameterError):  # no nbytes to report
+        _run_milstein(np.zeros((10, 2)) for _ in range(10))
+
+
+def test_run_batch_rejects_a_short_stream():
+    with pytest.raises(ParameterError):
+        _run_milstein(NoiseStream(1, 2, 0.01, 99))
+    with pytest.raises(ParameterError):
+        _run_milstein(_Blocks())  # no blocks at all
+
+
+def test_run_batch_rejects_a_block_of_the_wrong_lane_width():
+    with pytest.raises(ParameterError):
+        _run_milstein(_Blocks(np.zeros((50, 2)), np.zeros((50, 3))))
+
+
+def test_run_batch_rejects_a_block_of_the_wrong_ndim():
+    with pytest.raises(ParameterError):
+        _run_milstein(_Blocks(np.zeros(100)))
+    with pytest.raises(ParameterError):
+        _run_milstein(_Blocks(np.zeros((100, 2, 1))))
