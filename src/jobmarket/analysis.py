@@ -17,7 +17,8 @@ import numpy as np
 
 from . import brownian
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import BatchResult, Scheme, Trajectory, _resolve_steps, run_batch
+from .integrators import (BatchResult, Scheme, Trajectory, _coupled_terminals,
+                          _resolve_steps, run_batch)
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
 __all__ = [
@@ -233,8 +234,11 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     One fine Brownian path per path_index drives everything: the reference
     run at dt_fine and, for each level L = 1..levels, a run at
     dt_fine * 2^L using the coarsened increments of the same path. The
-    error at a level is the mean over paths of
-    |u_T - u_T_ref| + |v_T - v_T_ref|.
+    noise is read once: the fine rows stream by, each level sums its
+    groups of 2^L rows as they pass (in group_sums' left-to-right order)
+    and steps when a group is complete, so memory is bounded by lanes
+    times one noise block, not by the fine step count. The error at a
+    level is the mean over paths of |u_T - u_T_ref| + |v_T - v_T_ref|.
     """
     if scheme is Scheme.RK4:
         raise ParameterError("strong_order measures stochastic schemes; "
@@ -248,24 +252,14 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
             f"are not a multiple of {2 ** levels}")
 
     stream = brownian.NoiseStream(seed, n_paths, dt_fine, n_fine)
-    noise = np.empty((n_fine, n_paths))  # time-major; noise.T is read uncopied
-    for start, block in zip(range(0, n_fine, stream.block), stream):
-        noise[start:start + len(block)] = block
-    del block, stream  # free the stream's buffers before the first run
     u0 = np.full(n_paths, float(x0[0]))
     v0 = np.full(n_paths, float(x0[1]))
-    ref = run_batch(scheme, p, u0, v0, horizon, dt_fine, noise.T,
-                    record_stride=n_fine)
+    U, V = _coupled_terminals(scheme, p, u0, v0, dt_fine, stream, n_fine, levels)
 
     level_errors: list[tuple[float, float]] = []
     for level in range(1, levels + 1):
-        factor = 2 ** level
-        dt_level = dt_fine * factor
-        out = run_batch(scheme, p, u0, v0, horizon, dt_level,
-                        brownian.group_sums(noise, factor).T,  # freed after the run
-                        record_stride=n_fine // factor)
-        err = float(np.mean(np.abs(out.terminal_u - ref.terminal_u)
-                            + np.abs(out.terminal_v - ref.terminal_v)))
+        dt_level = dt_fine * 2 ** level
+        err = float(np.mean(np.abs(U[level] - U[0]) + np.abs(V[level] - V[0])))
         if err <= 0.0:
             raise IntegrationError(
                 f"coupled error vanished at dt={dt_level}; the scenario does "

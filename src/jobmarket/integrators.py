@@ -407,6 +407,23 @@ def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(x >= _TINY, x, 0.0), events
 
 
+def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
+    """One clamped Euler-Maruyama or Milstein step of lane arrays: (u, v,
+    clamp events). dt may be a column that gives each row its own step."""
+    if scheme is Scheme.EULER_MARUYAMA:
+        un, vn = _em_next(u, v, dt, dB, coeffs)
+    else:
+        un, vn = _milstein_next(u, v, dt, dB, coeffs)
+    un, ev_u = _clamp_array(un)
+    vn, ev_v = _clamp_array(vn)
+    return un, vn, ev_u | ev_v
+
+
+def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
+    if np.any(u < 0.0) or np.any(v < 0.0) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ParameterError("initial states must be finite and nonnegative")
+
+
 def _rk4_failure(un: np.ndarray, vn: np.ndarray, bad_u: np.ndarray,
                  bad_v: np.ndarray, t: float) -> IntegrationError:
     """The error for the first failing cell, worded as a run of that cell
@@ -464,8 +481,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
         raise ParameterError("u0 and v0 must be 1-D arrays of equal length, "
                              "or of shape (cells, n_paths) for a sequence "
                              "of params")
-    if np.any(u < 0.0) or np.any(v < 0.0) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ParameterError("initial states must be finite and nonnegative")
+    _check_initial(u, v)
     n_paths = u.shape[-1]
 
     if not scheme.is_stochastic and dW is not None:
@@ -499,13 +515,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
             vn = np.where(vn < 0.0, 0.0, vn)
             events = np.zeros(u.shape, dtype=bool)
         else:
-            if scheme is Scheme.EULER_MARUYAMA:
-                un, vn = _em_next(u, v, dt, dB, coeffs)
-            else:
-                un, vn = _milstein_next(u, v, dt, dB, coeffs)
-            un, ev_u = _clamp_array(un)
-            vn, ev_v = _clamp_array(vn)
-            events = ev_u | ev_v
+            un, vn, events = _stochastic_next(scheme, u, v, dt, dB, coeffs)
         clamp_counts += events
         window_clamped |= events
         integral_u += 0.5 * (u + un) * dt
@@ -524,3 +534,32 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                        clamp_counts=clamp_counts,
                        integral_u=integral_u, integral_v=integral_v,
                        max_total=max_total, scheme=scheme, params=p)
+
+
+def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
+                       v0: np.ndarray, dt: float, dW: NoiseStream, n_steps: int,
+                       levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal (u, v) of levels + 1 coupled runs in one pass over dW's rows.
+
+    Row L of each result is the terminal state of run_batch at step
+    dt * 2^L driven by group_sums(increments, 2^L), bit for bit: each
+    group's sum is built as group_sums builds it (a copy of its first
+    row, then += left to right) while the rows stream by, and level L
+    steps whenever its group of 2^L rows is complete. The levels that
+    complete on a row always form a prefix 0..c-1 of the level axis, so
+    they advance together as one (c, n_paths) lane array.
+    """
+    _check_initial(u0, v0)
+    n = levels + 1
+    u = np.tile(u0, (n, 1))
+    v = np.tile(v0, (n, 1))
+    dts = np.array([[dt * 2 ** level] for level in range(n)])
+    sums = np.empty_like(u)
+    done = n  # levels whose group completed on the previous row restart here
+    for k, row in zip(range(1, n_steps + 1), _noise_rows(dW, len(u0), n_steps)):
+        sums[:done] = row
+        sums[done:] += row
+        done = min(n, (k & -k).bit_length())  # levels L with 2^L dividing k
+        u[:done], v[:done], _ = _stochastic_next(
+            scheme, u[:done], v[:done], dts[:done], sums[:done], p)
+    return u, v

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jobmarket import (
@@ -18,10 +18,13 @@ from jobmarket import (
     classify_regime,
     generate,
     persistence_floor,
+    run_batch,
     simulate,
 )
+from jobmarket import brownian
 from jobmarket.analysis import (
     Observation,
+    StrongOrderReport,
     _observe,
     detect_extinction,
     ensemble,
@@ -250,6 +253,84 @@ def test_strong_order_errors_grow_with_dt():
     assert [lvl["dt"] for lvl in payload["levels"]] == dts
 
 
+def _strong_order_reference(p, scheme, x0, horizon, dt_fine, levels, n_paths,
+                            seed):
+    """strong_order from a materialised noise matrix: the whole time-major
+    fine matrix, then group_sums and one run_batch per level."""
+    n_fine = round(horizon / dt_fine)
+    noise = np.stack([generate(seed, i, dt_fine, n_fine).increments
+                      for i in range(n_paths)], axis=1)
+    u0 = np.full(n_paths, float(x0[0]))
+    v0 = np.full(n_paths, float(x0[1]))
+    ref = run_batch(scheme, p, u0, v0, horizon, dt_fine, noise.T,
+                    record_stride=n_fine)
+    level_errors = []
+    for level in range(1, levels + 1):
+        factor = 2 ** level
+        dt_level = dt_fine * factor
+        out = run_batch(scheme, p, u0, v0, horizon, dt_level,
+                        brownian.group_sums(noise, factor).T,
+                        record_stride=n_fine // factor)
+        err = float(np.mean(np.abs(out.terminal_u - ref.terminal_u)
+                            + np.abs(out.terminal_v - ref.terminal_v)))
+        if err <= 0.0:
+            raise IntegrationError(
+                f"coupled error vanished at dt={dt_level}; the scenario does "
+                "not separate the discretisation levels")
+        level_errors.append((dt_level, err))
+    log_dt = np.log2([dt for dt, _ in level_errors])
+    log_err = np.log2([err for _, err in level_errors])
+    slope, intercept = np.polyfit(log_dt, log_err, 1)
+    residual = float(np.sqrt(np.mean((slope * log_dt + intercept - log_err) ** 2)))
+    return StrongOrderReport(slope=float(slope), residual=residual,
+                             levels=tuple(level_errors))
+
+
+def _report_or_error(fn, *args):
+    # repr round-trips every float, so equal reprs mean equal bits
+    try:
+        return repr(fn(*args))
+    except IntegrationError as exc:
+        return f"IntegrationError: {exc}"
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1),
+       scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       levels=st.integers(3, 6), groups=st.integers(1, 3),
+       n_paths=st.integers(1, 7), step_cap=st.sampled_from([1, 3, 7, 4096]),
+       case=st.sampled_from([(P_FIG2, State(2.0, 9.8), 2.0**-12),
+                             (P_FIG1, State(50.0, 10.0), 2.0**-6),
+                             # clamps fire: the noise term overshoots zero
+                             (ModelParams(1.0, 100.0, 0.1, 0.2, 3.0),
+                              State(50.0, 10.0), 2.0**-4)]))
+def test_strong_order_equals_materialised_reference(monkeypatch, seed, scheme,
+                                                    levels, groups, n_paths,
+                                                    step_cap, case):
+    # small step caps make blocks ragged, so one 2^L group spans several
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    p, x0, dt_fine = case
+    args = (p, scheme, x0, groups * 2**levels * dt_fine, dt_fine, levels,
+            n_paths, seed)
+    assert (_report_or_error(strong_order, *args)
+            == _report_or_error(_strong_order_reference, *args))
+
+
+def test_strong_order_streams_noise_in_bounded_memory():
+    n_paths, n_fine, dt_fine = 1000, 8192, 2.0 ** -20
+    full_matrix = n_paths * n_fine * 8  # 65.5 MB of fine increments
+    tracemalloc.start()
+    try:
+        report = strong_order(P_FIG2, Scheme.MILSTEIN, State(2.0, 9.8),
+                              n_fine * dt_fine, dt_fine, 5, n_paths, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.levels) == 5
+    assert peak < full_matrix / 2
+
+
 def test_strong_order_validates():
     with pytest.raises(ParameterError):
         strong_order(P_FIG2, Scheme.RK4, State(1, 1), 1.0, 2.0**-8, 4, 2, 1)
@@ -258,6 +339,23 @@ def test_strong_order_validates():
     with pytest.raises(ParameterError):
         # 2^5 does not divide the 200 fine steps
         strong_order(P_FIG2, Scheme.MILSTEIN, State(1, 1), 1.0, 1.0 / 200, 5, 2, 1)
+
+
+@pytest.mark.parametrize("x0", [State(-1.0, 1.0), State(1.0, -1e-300),
+                                State(float("nan"), 1.0), State(1.0, float("inf")),
+                                State(float("-inf"), float("nan"))])
+def test_strong_order_rejects_bad_initial_state(x0):
+    with pytest.raises(ParameterError) as exc:
+        strong_order(P_FIG2, Scheme.MILSTEIN, x0, 1.0, 2.0**-8, 3, 2, 1)
+    assert str(exc.value) == "initial states must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("n_paths", [0, True])
+def test_strong_order_rejects_bad_n_paths(n_paths):
+    with pytest.raises(ParameterError) as exc:
+        strong_order(P_FIG2, Scheme.MILSTEIN, State(1.0, 1.0), 1.0, 2.0**-8, 3,
+                     n_paths, 1)
+    assert str(exc.value) == f"n_paths must be a positive integer, got {n_paths!r}"
 
 
 def test_strong_order_rejects_degenerate_constant_scenario():
