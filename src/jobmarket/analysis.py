@@ -121,20 +121,23 @@ def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     """Aggregate n_paths independent trajectories into per-time statistics."""
     batch = simulate_paths(p, scheme, x0, horizon, dt, n_paths, seed,
                            record_stride=record_stride)
-    u_sorted = np.sort(batch.U, axis=0)
-    v_sorted = np.sort(batch.V, axis=0)
+    u_mean, u_std = batch.U.mean(axis=0), _population_std(batch.U)
+    v_mean, v_std = batch.V.mean(axis=0), _population_std(batch.V)
+    # the batch is not used again, so its records are sorted in place
+    batch.U.sort(axis=0)
+    batch.V.sort(axis=0)
     return EnsembleStats(
         times=batch.times,
-        u_mean=batch.U.mean(axis=0),
-        u_std=_population_std(batch.U),
-        u_q05=_nearest_rank(u_sorted, 0.05),
-        u_q50=_nearest_rank(u_sorted, 0.50),
-        u_q95=_nearest_rank(u_sorted, 0.95),
-        v_mean=batch.V.mean(axis=0),
-        v_std=_population_std(batch.V),
-        v_q05=_nearest_rank(v_sorted, 0.05),
-        v_q50=_nearest_rank(v_sorted, 0.50),
-        v_q95=_nearest_rank(v_sorted, 0.95),
+        u_mean=u_mean,
+        u_std=u_std,
+        u_q05=_nearest_rank(batch.U, 0.05),
+        u_q50=_nearest_rank(batch.U, 0.50),
+        u_q95=_nearest_rank(batch.U, 0.95),
+        v_mean=v_mean,
+        v_std=v_std,
+        v_q05=_nearest_rank(batch.V, 0.05),
+        v_q50=_nearest_rank(batch.V, 0.50),
+        v_q95=_nearest_rank(batch.V, 0.95),
         n_paths=batch.n_paths,
         clamp_rate=float(np.count_nonzero(batch.clamp_counts > 0)) / batch.n_paths,
     )

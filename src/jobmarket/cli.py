@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -105,8 +105,12 @@ def parse_config(data: dict) -> ScenarioConfig:
                           record_stride=record_stride, outputs=outputs)
 
 
-def load_config(source: str) -> ScenarioConfig:
-    """Read a config from a file path or a bundled scenario name."""
+def load_config(source: str, overrides: dict | None = None) -> ScenarioConfig:
+    """Read a config from a file path or a bundled scenario name.
+
+    overrides (from the --seed and --paths flags) replace config fields
+    before the config is validated, so they pass the same checks.
+    """
     path = Path(source)
     if not path.is_file():
         bundled = scenarios.bundled_path(source)
@@ -122,6 +126,8 @@ def load_config(source: str) -> ScenarioConfig:
         raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from None
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     return parse_config(data)
 
 
@@ -133,18 +139,6 @@ def _out_dir(cfg: ScenarioConfig, args) -> Path:
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ParameterError(f"--seed must fit in 64 bits, got {args.seed}")
-        cfg = replace(cfg, seed=args.seed)
-    if args.paths is not None:
-        if args.paths < 1:
-            raise ParameterError(f"--paths must be >= 1, got {args.paths}")
-        cfg = replace(cfg, n_paths=args.paths)
-    return cfg
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -289,7 +283,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        overrides = {"seed": args.seed, "n_paths": args.paths}
+        cfg = load_config(args.config, {k: x for k, x in overrides.items() if x is not None})
         return _HANDLERS[args.command](cfg, args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

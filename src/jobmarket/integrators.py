@@ -259,6 +259,50 @@ def _check_stride(n_steps: int, record_stride: int) -> None:
         )
 
 
+def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise):
+    """The time loop shared by simulate and run_batch.
+
+    u and v are Python floats (one path) or lane arrays. Each step calls
+    step(k, u, v, dB) -> (u, v, clamp events), with dB taken from noise.
+    Clamp counts, both trapezoid integrals and the running max of u + v
+    are kept at full step resolution; every record_stride-th state is
+    recorded, and a recorded row is flagged when a clamp happened since
+    the previous recorded row. Returns the fields of a BatchResult, in
+    order.
+    """
+    lanes = np.shape(u)  # () for one scalar path
+    # on floats, builtin max() costs about 0.25 us a step more than this
+    peak = np.maximum if lanes else (lambda a, b: b if b > a else a)
+    n_rec = n_steps // record_stride + 1
+    U = np.empty(lanes + (n_rec,))
+    V = np.empty(lanes + (n_rec,))
+    flags = np.zeros(lanes + (n_rec,), dtype=bool)
+    # time-major views: row i of each is recorded column i of the output
+    rows_u, rows_v, rows_flag = (np.moveaxis(a, -1, 0) for a in (U, V, flags))
+    rows_u[0] = u
+    rows_v[0] = v
+    counts = last = np.zeros(lanes, dtype=np.int64) if lanes else 0
+    integral_u = np.zeros(lanes) if lanes else 0.0
+    integral_v = np.zeros(lanes) if lanes else 0.0
+    max_total = u + v
+    row = 1
+    for k, dB in zip(range(1, n_steps + 1), noise):
+        un, vn, events = step(k, u, v, dB)
+        counts = counts + events
+        integral_u += 0.5 * (u + un) * dt
+        integral_v += 0.5 * (v + vn) * dt
+        u, v = un, vn
+        max_total = peak(max_total, u + v)
+        if k % record_stride == 0:
+            rows_u[row] = u
+            rows_v[row] = v
+            rows_flag[row] = counts != last
+            last = counts
+            row += 1
+    times = np.arange(0, n_steps + 1, record_stride) * dt
+    return times, U, V, flags, counts, integral_u, integral_v, max_total
+
+
 def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
              dt: float, path: BrownianPath | None = None,
              record_stride: int = 1) -> Trajectory:
@@ -271,9 +315,9 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
     u, v = float(x0[0]), float(x0[1])
-    if not (np.isfinite(u) and np.isfinite(v)) or u < 0.0 or v < 0.0:
-        raise ParameterError(f"x0 must be finite and nonnegative, got {x0!r}")
+    _check_initial(u, v)
 
+    clamp_times: list[float] = []
     if scheme.is_stochastic:
         if path is None:
             raise ParameterError(f"scheme {scheme.value} requires a Brownian path")
@@ -283,59 +327,31 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
         if path.n_steps < n_steps:
             raise ParameterError(
                 f"path covers {path.n_steps} steps, {n_steps} needed")
-        dW = path.increments
+        noise = path.increments[:n_steps].tolist()
+        stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
+
+        def step(k, u, v, dB):
+            (un, vn), clamped = stepper(State(u, v), dt, dB, p)
+            if clamped:
+                clamp_times.append(k * dt)
+            return un, vn, clamped
     else:
         if path is not None:
             raise ParameterError("deterministic RK4 takes no driving path")
-        dW = None
+        noise = itertools.repeat(None)
 
-    n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
-    rec_u = np.empty(n_rec)
-    rec_v = np.empty(n_rec)
-    rec_clamped = np.zeros(n_rec, dtype=bool)
-    times[0], rec_u[0], rec_v[0] = 0.0, u, v
-
-    integral_u = 0.0
-    integral_v = 0.0
-    max_total = u + v
-    clamp_times: list[float] = []
-    window_clamped = False
-    row = 1
-    for k in range(1, n_steps + 1):
-        if scheme is Scheme.RK4:
+        def step(k, u, v, _):
             try:
                 un, vn = step_rk4(State(u, v), dt, p)
             except IntegrationError as exc:
                 raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
-            clamped = False
-        else:
-            dB = float(dW[k - 1])
-            if scheme is Scheme.EULER_MARUYAMA:
-                (un, vn), clamped = step_em(State(u, v), dt, dB, p)
-            else:
-                (un, vn), clamped = step_milstein(State(u, v), dt, dB, p)
-        if clamped:
-            clamp_times.append(k * dt)
-            window_clamped = True
-        integral_u += 0.5 * (u + un) * dt
-        integral_v += 0.5 * (v + vn) * dt
-        u, v = un, vn
-        total = u + v
-        if total > max_total:
-            max_total = total
-        if k % record_stride == 0:
-            times[row] = k * dt
-            rec_u[row] = u
-            rec_v[row] = v
-            rec_clamped[row] = window_clamped
-            window_clamped = False
-            row += 1
+            return un, vn, False
 
+    times, U, V, flags, count, integral_u, integral_v, max_total = _advance(
+        step, u, v, dt, n_steps, record_stride, noise)
     return Trajectory(
-        times=times, u=rec_u, v=rec_v, clamped=rec_clamped,
-        scheme=scheme, params=p,
-        clamp_count=len(clamp_times), clamp_times=np.array(clamp_times),
+        times=times, u=U, v=V, clamped=flags, scheme=scheme, params=p,
+        clamp_count=count, clamp_times=np.array(clamp_times),
         seed=path.seed if path is not None else None,
         path_index=path.path_index if path is not None else None,
         integral_u=integral_u, integral_v=integral_v, max_total=max_total,
@@ -470,8 +486,8 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    u = np.asarray(u0, dtype=float)
+    v = np.asarray(v0, dtype=float)
     if isinstance(p, ModelParams):
         coeffs, cells = p, ()
     else:
@@ -484,56 +500,27 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     _check_initial(u, v)
     n_paths = u.shape[-1]
 
-    if not scheme.is_stochastic and dW is not None:
-        raise ParameterError("deterministic RK4 takes no increments")
-    noise = _noise_rows(dW, n_paths, n_steps) if scheme.is_stochastic else itertools.repeat(None)
+    if scheme.is_stochastic:
+        noise = _noise_rows(dW, n_paths, n_steps)
 
-    n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
-    U = np.empty(u.shape + (n_rec,))
-    V = np.empty(u.shape + (n_rec,))
-    clamped_rows = np.zeros(u.shape + (n_rec,), dtype=bool)
-    times[0] = 0.0
-    U[..., 0] = u
-    V[..., 0] = v
+        def step(k, u, v, dB):
+            return _stochastic_next(scheme, u, v, dt, dB, coeffs)
+    else:
+        if dW is not None:
+            raise ParameterError("deterministic RK4 takes no increments")
+        noise = itertools.repeat(None)
 
-    integral_u = np.zeros(u.shape)
-    integral_v = np.zeros(u.shape)
-    max_total = u + v
-    clamp_counts = np.zeros(u.shape, dtype=np.int64)
-    window_clamped = np.zeros(u.shape, dtype=bool)
-    row = 1
-    for k, dB in zip(range(1, n_steps + 1), noise):
-        if scheme is Scheme.RK4:
+        def step(k, u, v, _):
             un, vn = _rk4_next(u, v, dt, coeffs)
             floor = -_RK4_CLAMP_REL * np.maximum(1.0, np.abs(u) + np.abs(v))
             bad_u = un < floor
             bad_v = vn < floor
             if np.any(bad_u) or np.any(bad_v):
                 raise _rk4_failure(un, vn, bad_u, bad_v, (k - 1) * dt)
-            un = np.where(un < 0.0, 0.0, un)
-            vn = np.where(vn < 0.0, 0.0, vn)
-            events = np.zeros(u.shape, dtype=bool)
-        else:
-            un, vn, events = _stochastic_next(scheme, u, v, dt, dB, coeffs)
-        clamp_counts += events
-        window_clamped |= events
-        integral_u += 0.5 * (u + un) * dt
-        integral_v += 0.5 * (v + vn) * dt
-        u, v = un, vn
-        np.maximum(max_total, u + v, out=max_total)
-        if k % record_stride == 0:
-            times[row] = k * dt
-            U[..., row] = u
-            V[..., row] = v
-            clamped_rows[..., row] = window_clamped
-            window_clamped[:] = False
-            row += 1
+            return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), False
 
-    return BatchResult(times=times, U=U, V=V, clamped=clamped_rows,
-                       clamp_counts=clamp_counts,
-                       integral_u=integral_u, integral_v=integral_v,
-                       max_total=max_total, scheme=scheme, params=p)
+    return BatchResult(*_advance(step, u, v, dt, n_steps, record_stride, noise),
+                       scheme=scheme, params=p)
 
 
 def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,

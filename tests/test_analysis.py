@@ -331,6 +331,28 @@ def test_strong_order_streams_noise_in_bounded_memory():
     assert peak < full_matrix / 2
 
 
+@pytest.mark.parametrize("run", [
+    lambda: simulate_paths(P_FIG1, Scheme.MILSTEIN, State(50.0, 10.0), 8.0,
+                           2.0 ** -10, 1000, 7, record_stride=8192),
+    lambda: strong_order(P_FIG2, Scheme.MILSTEIN, State(2.0, 9.8), 2.0 ** -7,
+                         2.0 ** -20, 5, 1000, 7),
+], ids=["simulate_paths", "strong_order"])
+def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, run):
+    # the row buffer and the block live in mappings of their own, which
+    # tracemalloc does not see, so their sizes are bounded here
+    requested = []
+    mapped = brownian._mapped
+
+    def spy(rows, cols):
+        requested.append(rows * cols * 8)
+        return mapped(rows, cols)
+
+    monkeypatch.setattr(brownian, "_mapped", spy)
+    run()  # 1000 paths x 8192 steps: 65.5 MB of increments
+    assert len(requested) == 2
+    assert sum(requested) <= brownian._BLOCK_BYTES
+
+
 def test_strong_order_validates():
     with pytest.raises(ParameterError):
         strong_order(P_FIG2, Scheme.RK4, State(1, 1), 1.0, 2.0**-8, 4, 2, 1)

@@ -179,6 +179,15 @@ def test_simulate_fig1_drives_labour_force_to_zero(tmp_path):
         assert v_final < 1e-2, name
 
 
+def test_simulate_rk4_failure_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, scheme="rk4", x0={"u": 30.0, "v": 0.0},
+                       horizon=2.0, dt=1.0, record_stride=1,
+                       params={"r": 2.0, "K": 10.0, "m": 0.1, "d": 0.2, "sigma": 0.0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith("error: at t=0.0: RK4 step from")
+
+
 def test_simulate_rk4_config_writes_identical_files(tmp_path):
     cfg = write_config(tmp_path, scheme="rk4")
     out = tmp_path / "out"
@@ -224,6 +233,15 @@ def test_paths_override(tmp_path, capsys):
     assert main(["ensemble", "--config", cfg, "--out", str(out), "--paths",
                  "5"]) == 0
     assert "5 paths" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", str(2**64)],
+                                  ["--paths", "0"]])
+def test_out_of_range_override_exits_2(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path)
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet", *flag]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jobmarket import (
     IntegrationError,
@@ -70,6 +73,13 @@ def test_rk4_material_overshoot_raises():
     p = ModelParams(r=2.0, K=10.0, m=0.1, d=0.2, sigma=0.0)
     with pytest.raises(IntegrationError):
         step_rk4(State(30.0, 0.0), 1.0, p)
+
+
+def test_simulate_rk4_failure_names_its_time():
+    p = ModelParams(2.0, 10.0, 0.1, 0.2, 0.0)
+    with pytest.raises(IntegrationError) as exc:
+        simulate(Scheme.RK4, p, State(30.0, 0.0), 2.0, 1.0)
+    assert str(exc.value).startswith("at t=0.0: RK4 step from")
 
 
 def test_rk4_rejects_nonpositive_dt():
@@ -486,3 +496,132 @@ def test_run_batch_rejects_a_block_of_the_wrong_ndim():
         _run_milstein(_Blocks(np.zeros(100)))
     with pytest.raises(ParameterError):
         _run_milstein(_Blocks(np.zeros((100, 2, 1))))
+
+
+# ---------------------------------------------------------------------------
+# the shared time loop against a plain reference loop over the step functions
+
+def _reference_path(scheme, p, x0, dt, n_steps, stride, increments):
+    """One path stepped by the public step functions in a loop of its own:
+    recorded rows, row flags, clamp log, trapezoid integrals and running max."""
+    u, v = x0
+    rows_u, rows_v, flags, clamp_times = [u], [v], [False], []
+    integral_u = integral_v = 0.0
+    max_total = u + v
+    flagged = False
+    for k in range(1, n_steps + 1):
+        if scheme is Scheme.RK4:
+            (un, vn), clamped = step_rk4(State(u, v), dt, p), False
+        else:
+            stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
+            (un, vn), clamped = stepper(State(u, v), dt, float(increments[k - 1]), p)
+        if clamped:
+            clamp_times.append(k * dt)
+            flagged = True
+        integral_u += 0.5 * (u + un) * dt
+        integral_v += 0.5 * (v + vn) * dt
+        u, v = un, vn
+        if u + v > max_total:
+            max_total = u + v
+        if k % stride == 0:
+            rows_u.append(u)
+            rows_v.append(v)
+            flags.append(flagged)
+            flagged = False
+    return SimpleNamespace(times=[k * dt for k in range(0, n_steps + 1, stride)],
+                           u=rows_u, v=rows_v, clamped=flags, clamp_times=clamp_times,
+                           integral_u=integral_u, integral_v=integral_v,
+                           max_total=max_total)
+
+
+def _bits(x, dtype=float):
+    return np.asarray(x, dtype=dtype).tobytes()
+
+
+def _assert_matches(ref, times, u, v, clamped, clamp_count, integral_u,
+                    integral_v, max_total):
+    assert _bits(times) == _bits(ref.times)
+    assert _bits(u) == _bits(ref.u)
+    assert _bits(v) == _bits(ref.v)
+    assert _bits(clamped, bool) == _bits(ref.clamped, bool)
+    assert clamp_count == len(ref.clamp_times)
+    assert _bits(integral_u) == _bits(ref.integral_u)
+    assert _bits(integral_v) == _bits(ref.integral_v)
+    assert _bits(max_total) == _bits(ref.max_total)
+
+
+_PARAMS = st.builds(ModelParams, r=st.floats(0.1, 2.0), K=st.floats(10.0, 200.0),
+                    m=st.floats(0.001, 0.5), d=st.floats(0.05, 1.0),
+                    sigma=st.sampled_from([0.0, 0.001, 0.09, 0.5]))  # 0.5 clamps
+_X0 = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(list(Scheme)),
+       cells=st.lists(_PARAMS, min_size=1, max_size=3),
+       x0s=st.lists(_X0, min_size=1, max_size=3),
+       dt=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
+       stride=st.integers(1, 5), n_rows=st.integers(1, 12),
+       seed=st.integers(0, 2**64 - 1), stream=st.booleans(),
+       step_cap=st.sampled_from([1, 3, 4096]))
+def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cells,
+                                                       x0s, dt, stride, n_rows,
+                                                       seed, stream, step_cap):
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    n_steps = stride * n_rows
+    horizon = n_steps * dt
+    n_paths = len(x0s)
+    paths = [generate(seed, i, dt, n_steps) if scheme.is_stochastic else None
+             for i in range(n_paths)]
+    u0 = np.array([x0[0] for x0 in x0s])
+    v0 = np.array([x0[1] for x0 in x0s])
+    p = cells[0]
+    if len(cells) > 1:
+        p, u0, v0 = cells, np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
+    dW = None
+    if scheme.is_stochastic:
+        dW = (NoiseStream(seed, n_paths, dt, n_steps) if stream
+              else np.stack([path.increments for path in paths]))
+
+    refs = []
+    for cell in cells:
+        for x0, path in zip(x0s, paths):
+            try:
+                ref = _reference_path(scheme, cell, x0, dt, n_steps, stride,
+                                      None if path is None else path.increments)
+            except IntegrationError as ref_exc:
+                # only RK4 raises; simulate prefixes the time of the step
+                with pytest.raises(IntegrationError) as exc:
+                    simulate(scheme, cell, State(*x0), horizon, dt, record_stride=stride)
+                assert str(exc.value).startswith("at t=")
+                assert str(exc.value).endswith(f": {ref_exc}")
+                with pytest.raises(IntegrationError):
+                    run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
+                return
+            traj = simulate(scheme, cell, State(*x0), horizon, dt, path=path,
+                            record_stride=stride)
+            _assert_matches(ref, traj.times, traj.u, traj.v, traj.clamped,
+                            traj.clamp_count, traj.integral_u, traj.integral_v,
+                            traj.max_total)
+            assert _bits(traj.clamp_times) == _bits(ref.clamp_times)
+            # clamp log, integrals and running max do not depend on the stride
+            full = simulate(scheme, cell, State(*x0), horizon, dt, path=path)
+            assert full.clamp_count == traj.clamp_count
+            assert _bits(full.clamp_times) == _bits(traj.clamp_times)
+            assert _bits([full.integral_u, full.integral_v, full.max_total]) == \
+                _bits([traj.integral_u, traj.integral_v, traj.max_total])
+            refs.append(ref)
+
+    batch = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
+    full = run_batch(scheme, p, u0, v0, horizon, dt,
+                     None if dW is None else np.stack([path.increments for path in paths]))
+    for name in ("clamp_counts", "integral_u", "integral_v", "max_total"):
+        assert getattr(full, name).tobytes() == getattr(batch, name).tobytes(), name
+    lanes = [(c, i) if len(cells) > 1 else (i,)
+             for c in range(len(cells)) for i in range(n_paths)]
+    for lane, ref in zip(lanes, refs):
+        _assert_matches(ref, batch.times, batch.U[lane], batch.V[lane],
+                        batch.clamped[lane], batch.clamp_counts[lane],
+                        batch.integral_u[lane], batch.integral_v[lane],
+                        batch.max_total[lane])
