@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, TextIO
+from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
 from . import brownian
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import (BatchResult, Scheme, Trajectory, _coupled_terminals,
-                          _resolve_steps, run_batch)
+from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory,
+                          _coupled_terminals, _resolve_steps, run_batch)
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
 __all__ = [
@@ -45,12 +45,14 @@ PERSIST_EPS_DEFAULT = 1e-1
 
 def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
                    x0: State, horizon: float, dt: float, n_paths: int,
-                   seed: int, record_stride: int = 1) -> BatchResult:
+                   seed: int, record_stride: int = 1, *,
+                   outputs: Collection[str] = _OUTPUTS) -> BatchResult:
     """Run n_paths independent trajectories (path_index 0 .. n_paths-1).
 
     Given a sequence of params, every set runs as one row of a multi-cell
     batch, and path i of every cell is driven by the same (seed, i)
-    increments: common random numbers, drawn once.
+    increments: common random numbers, drawn once. outputs is passed to
+    run_batch.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
@@ -61,7 +63,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     dW = brownian.NoiseStream(seed, n_paths, dt, n_steps) if scheme.is_stochastic else None
     try:
         return run_batch(scheme, p, u0, v0, horizon, dt, dW,
-                         record_stride=record_stride)
+                         record_stride=record_stride, outputs=outputs)
     except IntegrationError as exc:
         raise IntegrationError(f"ensemble run failed: {exc}",
                                cell=exc.cell) from None
@@ -118,9 +120,12 @@ def _population_std(values: np.ndarray) -> np.ndarray:
 def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
              dt: float, n_paths: int, seed: int,
              record_stride: int = 1) -> EnsembleStats:
-    """Aggregate n_paths independent trajectories into per-time statistics."""
+    """Aggregate n_paths independent trajectories into per-time statistics.
+
+    The statistics read only the records and the clamp counts, so the run
+    keeps none of the per-path accumulators."""
     batch = simulate_paths(p, scheme, x0, horizon, dt, n_paths, seed,
-                           record_stride=record_stride)
+                           record_stride=record_stride, outputs=())
     u_mean, u_std = batch.U.mean(axis=0), _population_std(batch.U)
     v_mean, v_std = batch.V.mean(axis=0), _population_std(batch.V)
     # the batch is not used again, so its records are sorted in place
@@ -324,7 +329,8 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
     cell is validated and classified first; a failure there (for example
     sigma = 0, which the classifier rejects) is recorded on that cell.
     The valid cells then advance together in one multi-cell batch that
-    records only the terminal state, sharing one noise block. A cell whose
+    records only the terminal state and keeps only the integral of v,
+    sharing one noise block. A cell whose
     integration fails is recorded with the error a run of it alone would
     raise, and the others rerun without it; cells are independent lanes,
     so each cell's outcome is bit-identical to a run of that cell alone.
@@ -346,7 +352,8 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
         try:
             batch = simulate_paths([pending[i][0] for i in rows], scheme, x0,
                                    horizon, dt, n_paths, seed,
-                                   record_stride=_resolve_steps(horizon, dt))
+                                   record_stride=_resolve_steps(horizon, dt),
+                                   outputs={"integral_v"})
         except JobMarketError as exc:
             # an error tied to no one cell (a bad horizon, say) would have
             # failed every cell run alone; a cell's own error fails only it

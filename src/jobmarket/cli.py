@@ -12,6 +12,7 @@ stochastic thresholds are undefined at sigma = 0), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -242,7 +243,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use: a fresh
+    parser per call would leave a few hundred objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="jobmarket",
         description="Simulation lab for a noisy free-jobs / labour-force model",

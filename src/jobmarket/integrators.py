@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import SimpleNamespace
-from typing import Sequence, TextIO
+from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
@@ -58,6 +58,9 @@ __all__ = [
 _TINY = sys.float_info.min
 
 _RK4_CLAMP_REL = 1e-12
+
+# the per-path accumulators a run_batch caller may ask for
+_OUTPUTS = frozenset({"integral_u", "integral_v", "max_total"})
 
 
 class Scheme(Enum):
@@ -259,16 +262,19 @@ def _check_stride(n_steps: int, record_stride: int) -> None:
         )
 
 
-def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise):
+def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
+             outputs: Collection[str] = _OUTPUTS):
     """The time loop shared by simulate and run_batch.
 
     u and v are Python floats (one path) or lane arrays. Each step calls
-    step(k, u, v, dB) -> (u, v, clamp events), with dB taken from noise.
-    Clamp counts, both trapezoid integrals and the running max of u + v
-    are kept at full step resolution; every record_stride-th state is
-    recorded, and a recorded row is flagged when a clamp happened since
-    the previous recorded row. Returns the fields of a BatchResult, in
-    order.
+    step(k, u, v, dB) -> (u, v, clamp events), with dB taken from noise;
+    events of None mean that no lane clamped. Clamp counts, and those of
+    the trapezoid integrals and the running max of u + v named in
+    outputs, are kept at full step resolution; an accumulator not named
+    costs nothing per step and is returned as None. Every
+    record_stride-th state is recorded, and a recorded row is flagged
+    when a clamp happened since the previous recorded row. Returns the
+    fields of a BatchResult, in order.
     """
     lanes = np.shape(u)  # () for one scalar path
     # on floats, builtin max() costs about 0.25 us a step more than this
@@ -282,17 +288,21 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise):
     rows_u[0] = u
     rows_v[0] = v
     counts = last = np.zeros(lanes, dtype=np.int64) if lanes else 0
-    integral_u = np.zeros(lanes) if lanes else 0.0
-    integral_v = np.zeros(lanes) if lanes else 0.0
-    max_total = u + v
+    integral_u = (np.zeros(lanes) if lanes else 0.0) if "integral_u" in outputs else None
+    integral_v = (np.zeros(lanes) if lanes else 0.0) if "integral_v" in outputs else None
+    max_total = u + v if "max_total" in outputs else None
     row = 1
     for k, dB in zip(range(1, n_steps + 1), noise):
         un, vn, events = step(k, u, v, dB)
-        counts = counts + events
-        integral_u += 0.5 * (u + un) * dt
-        integral_v += 0.5 * (v + vn) * dt
+        if events is not None:
+            counts = counts + events
+        if integral_u is not None:
+            integral_u += 0.5 * (u + un) * dt
+        if integral_v is not None:
+            integral_v += 0.5 * (v + vn) * dt
         u, v = un, vn
-        max_total = peak(max_total, u + v)
+        if max_total is not None:
+            max_total = peak(max_total, u + v)
         if k % record_stride == 0:
             rows_u[row] = u
             rows_v[row] = v
@@ -345,7 +355,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
                 un, vn = step_rk4(State(u, v), dt, p)
             except IntegrationError as exc:
                 raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
-            return un, vn, False
+            return un, vn, None
 
     times, U, V, flags, count, integral_u, integral_v, max_total = _advance(
         step, u, v, dt, n_steps, record_stride, noise)
@@ -376,9 +386,10 @@ class BatchResult:
     V: np.ndarray
     clamped: np.ndarray          # lane shape + (n_recorded,) bool
     clamp_counts: np.ndarray     # lane shape, int
-    integral_u: np.ndarray       # lane shape, full-resolution trapezoids
-    integral_v: np.ndarray
-    max_total: np.ndarray        # lane shape, running max of u + v
+    # lane shape; None when the run's outputs left them out
+    integral_u: np.ndarray | None  # full-resolution trapezoids
+    integral_v: np.ndarray | None
+    max_total: np.ndarray | None   # running max of u + v
     scheme: Scheme | None = None
     params: ModelParams | tuple[ModelParams, ...] | None = None
 
@@ -400,14 +411,16 @@ class BatchResult:
 
     def cell(self, c: int) -> "BatchResult":
         """Row c of a multi-cell run as a single-cell result of contiguous
-        copies, laid out exactly as a run of that cell alone."""
+        copies, laid out exactly as a run of that cell alone; a field the
+        run left out stays None."""
+        def row(a):
+            return None if a is None else a[c].copy()
+
         return BatchResult(
-            times=self.times, U=self.U[c].copy(), V=self.V[c].copy(),
-            clamped=self.clamped[c].copy(),
-            clamp_counts=self.clamp_counts[c].copy(),
-            integral_u=self.integral_u[c].copy(),
-            integral_v=self.integral_v[c].copy(),
-            max_total=self.max_total[c].copy(),
+            times=self.times, U=row(self.U), V=row(self.V),
+            clamped=row(self.clamped), clamp_counts=row(self.clamp_counts),
+            integral_u=row(self.integral_u), integral_v=row(self.integral_v),
+            max_total=row(self.max_total),
             scheme=self.scheme, params=self.params[c])
 
 
@@ -418,20 +431,37 @@ def _stack_params(ps: tuple[ModelParams, ...]) -> SimpleNamespace:
                               for f in fields(ModelParams)})
 
 
-def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.where(x >= _TINY, x, 0.0) and the lanes at or below -_TINY, or
+    None for the events when there are none.
+
+    One min() picks the tier: every lane normal or +inf needs no pass;
+    lanes only as far below as the subnormals (an extinct lane sits at
+    exact 0) are flushed without an event test; anything lower, or a NaN
+    minimum, takes the full pass.
+    """
+    lo = np.minimum.reduce(x, None)  # x.min() without its Python wrapper
+    if lo >= _TINY:
+        return x, None
+    clamped = np.where(x >= _TINY, x, 0.0)
+    if lo > -_TINY:
+        return clamped, None
     events = x <= -_TINY
-    return np.where(x >= _TINY, x, 0.0), events
+    return clamped, events if events.any() else None
 
 
 def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
     """One clamped Euler-Maruyama or Milstein step of lane arrays: (u, v,
-    clamp events). dt may be a column that gives each row its own step."""
+    clamp events), the events None when no lane clamped. dt may be a
+    column that gives each row its own step."""
     if scheme is Scheme.EULER_MARUYAMA:
         un, vn = _em_next(u, v, dt, dB, coeffs)
     else:
         un, vn = _milstein_next(u, v, dt, dB, coeffs)
     un, ev_u = _clamp_array(un)
     vn, ev_v = _clamp_array(vn)
+    if ev_u is None or ev_v is None:
+        return un, vn, ev_v if ev_u is None else ev_u
     return un, vn, ev_u | ev_v
 
 
@@ -472,7 +502,8 @@ def _noise_rows(dW, n_paths: int, n_steps: int):
 
 def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
               u0: np.ndarray, v0: np.ndarray, horizon: float, dt: float,
-              dW: np.ndarray | NoiseStream | None, record_stride: int = 1) -> BatchResult:
+              dW: np.ndarray | NoiseStream | None, record_stride: int = 1, *,
+              outputs: Collection[str] = _OUTPUTS) -> BatchResult:
     """Advance many paths at once; path i uses dW[i], or column i of a stream.
 
     With one ModelParams, u0 and v0 are 1-D arrays of n_paths lanes. With
@@ -480,12 +511,21 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     row c runs under p[c], and path i of every row is driven by the same
     increment row dW[i], so a whole parameter grid shares one time loop.
 
+    outputs names the accumulators to keep, a subset of integral_u,
+    integral_v and max_total (all three by default); the others are
+    skipped at every step and come back as None. The records, the clamp
+    counts and every kept field have the same bits whatever is left out.
+
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
     batch. An RK4 failure names its row in IntegrationError.cell.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
+    unknown = set(outputs) - _OUTPUTS
+    if unknown:
+        raise ParameterError(f"unknown outputs {sorted(unknown)}; expected a "
+                             f"subset of {sorted(_OUTPUTS)}")
     u = np.asarray(u0, dtype=float)
     v = np.asarray(v0, dtype=float)
     if isinstance(p, ModelParams):
@@ -517,9 +557,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
             bad_v = vn < floor
             if np.any(bad_u) or np.any(bad_v):
                 raise _rk4_failure(un, vn, bad_u, bad_v, (k - 1) * dt)
-            return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), False
+            return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), None
 
-    return BatchResult(*_advance(step, u, v, dt, n_steps, record_stride, noise),
+    return BatchResult(*_advance(step, u, v, dt, n_steps, record_stride, noise,
+                                 outputs),
                        scheme=scheme, params=p)
 
 

@@ -145,6 +145,17 @@ def test_simulate_paths_validates_n_paths():
         simulate_paths(P_FIG1, Scheme.MILSTEIN, State(1, 1), 1.0, 0.01, 0, 1)
 
 
+def test_simulate_paths_passes_outputs_to_run_batch():
+    args = (P_FIG1, Scheme.MILSTEIN, State(50.0, 10.0), 3.0, 0.01, 4, 5)
+    full = simulate_paths(*args)
+    some = simulate_paths(*args, outputs={"integral_v"})
+    assert some.U.tobytes() == full.U.tobytes()
+    assert some.integral_v.tobytes() == full.integral_v.tobytes()
+    assert some.integral_u is None and some.max_total is None
+    with pytest.raises(ParameterError):
+        simulate_paths(*args, outputs={"integral_w"})
+
+
 # ---------------------------------------------------------------------------
 # extinction detection
 

@@ -1,11 +1,14 @@
 import io
+import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from jobmarket import (
     IntegrationError,
@@ -23,7 +26,8 @@ from jobmarket import (
 )
 from jobmarket import brownian
 from jobmarket.brownian import NoiseStream
-from jobmarket.integrators import _milstein_corr
+from jobmarket.integrators import (_clamp_array, _em_next, _milstein_corr,
+                                  _milstein_next, _stochastic_next)
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
@@ -625,3 +629,98 @@ def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cell
                         batch.clamped[lane], batch.clamp_counts[lane],
                         batch.integral_u[lane], batch.integral_v[lane],
                         batch.max_total[lane])
+
+
+# ---------------------------------------------------------------------------
+# the clamp's tiers: the bits of the full pass, and events only when there are any
+
+_TINY = sys.float_info.min
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, _TINY,
+          -_TINY, float(np.nextafter(_TINY, 0.0)), -_TINY / 2, 1e-300, 1.0,
+          -1.0, 37.5, -3e-12]
+_VALUES = st.sampled_from(_EDGES) | st.floats(-100.0, 100.0)
+_LANES = arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=6),
+                elements=_VALUES)
+# states mostly in the quadrant, so that steps reach every tier
+_STATES = st.floats(0.0, 100.0) | st.sampled_from([0.0, 5e-324, _TINY]) | _VALUES
+
+
+def _assert_events(events, truth):
+    """events equal the full pass's truth array, or are None exactly when it
+    has no True lane."""
+    if truth.any():
+        assert events is not None and _bits(events, bool) == _bits(truth, bool)
+    else:
+        assert events is None
+
+
+@example(x=np.array([-_TINY, 1.0]))  # exactly -DBL_MIN is an event
+@example(x=np.array([[0.0, math.nan], [1.0, 2.0]]))  # NaN is flushed, no event
+@given(x=_LANES)
+def test_clamp_array_tiers_match_the_full_pass(x):
+    out, events = _clamp_array(x)
+    assert _bits(out) == _bits(np.where(x >= _TINY, x, 0.0))
+    _assert_events(events, x <= -_TINY)
+
+
+_SHAPE = st.shared(array_shapes(min_dims=1, max_dims=2, max_side=6), key="lanes")
+
+
+@example(scheme=Scheme.MILSTEIN, u=np.array([50.0, 10.0]), v=np.array([10.0, 5.0]),
+         dB=np.array([0.1, -0.1]), sigma=0.09, dt=0.01)  # no lane near 0
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       u=arrays(float, _SHAPE, elements=_STATES),
+       v=arrays(float, _SHAPE, elements=_STATES),
+       dB=arrays(float, _SHAPE.map(lambda shape: shape[-1:]),
+                 elements=st.floats(-5.0, 5.0)),
+       sigma=st.sampled_from([0.09, 0.5, 2.0]), dt=st.sampled_from([0.01, 0.5]))
+def test_stochastic_next_reports_events_only_when_a_lane_clamps(scheme, u, v, dB,
+                                                               sigma, dt):
+    p = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=sigma)
+    with np.errstate(all="ignore"):
+        un, vn, events = _stochastic_next(scheme, u, v, dt, dB, p)
+        next_ = _em_next if scheme is Scheme.EULER_MARUYAMA else _milstein_next
+        ref_u, ref_v = next_(u, v, dt, dB, p)
+    # each component clamps as the full pass would; the events are their union
+    assert _bits(un) == _bits(np.where(ref_u >= _TINY, ref_u, 0.0))
+    assert _bits(vn) == _bits(np.where(ref_v >= _TINY, ref_v, 0.0))
+    _assert_events(events, (ref_u <= -_TINY) | (ref_v <= -_TINY))
+
+
+# ---------------------------------------------------------------------------
+# outputs: a run keeps only the accumulators its caller reads
+
+_ACCUMULATORS = ("integral_u", "integral_v", "max_total")
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
+@pytest.mark.parametrize("cells", [(P_NOISY,), (P_FIG1, P_NOISY, P_FIG2)])
+def test_outputs_drop_only_the_fields_left_out(scheme, cells):
+    n_paths, horizon, dt = 4, 2.0, 0.01
+    u0 = np.linspace(1.0, 60.0, n_paths)
+    v0 = np.linspace(12.0, 0.5, n_paths)
+    p = cells[0] if len(cells) == 1 else list(cells)
+    if len(cells) > 1:
+        u0, v0 = np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
+    dW = _noise_matrix(5, n_paths, dt, round(horizon / dt))
+    full = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10)
+    assert full.clamp_counts.sum() > 0
+    fulls = [full] if len(cells) == 1 else [full.cell(c) for c in range(len(cells))]
+    for r in range(len(_ACCUMULATORS) + 1):
+        for kept in itertools.combinations(_ACCUMULATORS, r):
+            part = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10,
+                             outputs=set(kept))
+            parts = [part] if len(cells) == 1 else [part.cell(c)
+                                                    for c in range(len(cells))]
+            for whole, some in zip([full, *fulls], [part, *parts]):
+                for name in ("times", "U", "V", "clamped", "clamp_counts", *kept):
+                    assert getattr(some, name).tobytes() == \
+                        getattr(whole, name).tobytes(), (kept, name)
+                for name in set(_ACCUMULATORS) - set(kept):
+                    assert getattr(some, name) is None, (kept, name)
+
+
+def test_outputs_rejects_an_unknown_name():
+    with pytest.raises(ParameterError, match="integral_w"):
+        run_batch(Scheme.MILSTEIN, P_FIG1, np.ones(2), np.ones(2), 1.0, 0.01,
+                  _noise_matrix(1, 2, 0.01, 100), outputs={"integral_w"})
