@@ -52,7 +52,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     Given a sequence of params, every set runs as one row of a multi-cell
     batch, and path i of every cell is driven by the same (seed, i)
     increments: common random numbers, drawn once. outputs is passed to
-    run_batch.
+    run_batch, which raises a failure, or for a sequence records it.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
@@ -61,12 +61,8 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     u0 = np.full(lanes, float(x0[0]))
     v0 = np.full(lanes, float(x0[1]))
     dW = brownian.NoiseStream(seed, n_paths, dt, n_steps) if scheme.is_stochastic else None
-    try:
-        return run_batch(scheme, p, u0, v0, horizon, dt, dW,
-                         record_stride=record_stride, outputs=outputs)
-    except IntegrationError as exc:
-        raise IntegrationError(f"ensemble run failed: {exc}",
-                               cell=exc.cell) from None
+    return run_batch(scheme, p, u0, v0, horizon, dt, dW,
+                     record_stride=record_stride, outputs=outputs)
 
 
 @dataclass
@@ -314,9 +310,9 @@ def _observe(batch: BatchResult, floor: float | None) -> tuple[Observation, floa
     return Observation.UNCLEAR, mean_tavg_v
 
 
-def _failed_cell(m: float, sigma: float, exc: JobMarketError) -> RegimeCell:
+def _failed_cell(m: float, sigma: float, error: str) -> RegimeCell:
     return RegimeCell(m=float(m), sigma=float(sigma), predicted=None,
-                      observed=None, v_time_avg=None, error=str(exc))
+                      observed=None, v_time_avg=None, error=error)
 
 
 def regime_map(base: ModelParams, m_grid: Sequence[float],
@@ -327,44 +323,36 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
 
     Cells are emitted in row-major order (m outer, sigma inner). Every
     cell is validated and classified first; a failure there (for example
-    sigma = 0, which the classifier rejects) is recorded on that cell.
+    sigma = 0, which the classifier rejects) is recorded on that cell. An
+    input shared by every cell that is bad (a horizon, say) raises.
     The valid cells then advance together in one multi-cell batch that
     records only the terminal state and keeps only the integral of v,
-    sharing one noise block. A cell whose
-    integration fails is recorded with the error a run of it alone would
-    raise, and the others rerun without it; cells are independent lanes,
-    so each cell's outcome is bit-identical to a run of that cell alone.
+    sharing one noise block. A cell whose integration fails is recorded
+    with the error a run of it alone would raise; cells are independent
+    lanes, so each cell's outcome is bit-identical to a run of that cell
+    alone.
     """
     if len(m_grid) == 0 or len(sigma_grid) == 0:
         raise ParameterError("m_grid and sigma_grid must be nonempty")
+    record_stride = _resolve_steps(horizon, dt)  # the terminal state only
     grid = [(m, sigma) for m in m_grid for sigma in sigma_grid]
     cells: dict[int, RegimeCell] = {}
-    pending: dict[int, tuple[ModelParams, Regime]] = {}
+    valid: dict[int, tuple[ModelParams, Regime]] = {}
     for i, (m, sigma) in enumerate(grid):
         try:
             params = ModelParams(r=base.r, K=base.K, m=m, d=base.d, sigma=sigma)
-            pending[i] = (params, classify_regime(params).classification)
+            valid[i] = (params, classify_regime(params).classification)
         except JobMarketError as exc:
-            cells[i] = _failed_cell(m, sigma, exc)
+            cells[i] = _failed_cell(m, sigma, str(exc))
 
-    while pending:
-        rows = list(pending)
-        try:
-            batch = simulate_paths([pending[i][0] for i in rows], scheme, x0,
-                                   horizon, dt, n_paths, seed,
-                                   record_stride=_resolve_steps(horizon, dt),
-                                   outputs={"integral_v"})
-        except JobMarketError as exc:
-            # an error tied to no one cell (a bad horizon, say) would have
-            # failed every cell run alone; a cell's own error fails only it
-            cell = exc.cell if isinstance(exc, IntegrationError) else None
-            failed = rows if cell is None else [rows[cell]]
-            for i in failed:
-                cells[i] = _failed_cell(*grid[i], exc)
-                del pending[i]
-            continue
-        for c, i in enumerate(rows):
-            params, predicted = pending.pop(i)
+    if valid:
+        batch = simulate_paths([params for params, _ in valid.values()],
+                               scheme, x0, horizon, dt, n_paths, seed,
+                               record_stride=record_stride, outputs={"integral_v"})
+        for c, (i, (params, predicted)) in enumerate(valid.items()):
+            if batch.errors[c] is not None:
+                cells[i] = _failed_cell(*grid[i], batch.errors[c])
+                continue
             observed, tavg = _observe(batch.cell(c), persistence_floor(params))
             cells[i] = RegimeCell(m=float(grid[i][0]), sigma=float(grid[i][1]),
                                   predicted=predicted, observed=observed,

@@ -60,13 +60,6 @@ class BrownianPath:
         """Covered time span, n_steps * dt."""
         return self.n_steps * self.dt
 
-    def cumulative(self) -> np.ndarray:
-        """B values on the grid 0, dt, ..., n_steps*dt (left-to-right sums)."""
-        out = np.empty(self.n_steps + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
 
 def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -21,7 +21,8 @@ zero and the event is logged; magnitudes inside the subnormal range
 (below ~2.2e-308, where fixed-quantum rounding can flip signs on its own)
 are flushed to exact zero silently, which makes extinction absorbing.
 RK4 has no noise to blame, so it only repairs negativities smaller than
-1e-12 relative to the state scale and raises otherwise.
+1e-12 relative to the state scale and fails otherwise. A non-finite
+state fails under every scheme; it is never clamped.
 
 Per-trajectory time averages are accumulated trapezoidally at full step
 resolution while integrating, so thinned recording never degrades them.
@@ -30,6 +31,7 @@ resolution while integrating, so thinned recording never degrades them.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -58,6 +60,8 @@ __all__ = [
 _TINY = sys.float_info.min
 
 _RK4_CLAMP_REL = 1e-12
+
+_NON_FINITE = "state went non-finite at t={t}"
 
 # the per-path accumulators a run_batch caller may ask for
 _OUTPUTS = frozenset({"integral_u", "integral_v", "max_total"})
@@ -118,6 +122,8 @@ def _rk4_next(u, v, dt, p: ModelParams):
 def _clamp_scalar(x: float) -> tuple[float, bool]:
     if x >= _TINY:
         return x, False
+    if not x > -math.inf:
+        raise IntegrationError(f"state went non-finite ({x}); reduce the step size")
     # subnormal magnitudes (either sign) flush silently; a materially
     # negative value is a logged positivity clamp
     return 0.0, x <= -_TINY
@@ -127,8 +133,8 @@ def step_rk4(s: State, dt: float, p: ModelParams) -> State:
     """One classical fourth-order Runge-Kutta step of the noise-free system.
 
     Raises IntegrationError when a component goes negative beyond rounding
-    scale (1e-12 of the state magnitude): that is a step-size problem, not
-    something to silently repair.
+    scale (1e-12 of the state magnitude), or NaN: that is a step-size
+    problem, not something to silently repair.
     """
     if not dt > 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -137,7 +143,7 @@ def step_rk4(s: State, dt: float, p: ModelParams) -> State:
     scale = max(1.0, abs(u) + abs(v))
     out = []
     for x in (un, vn):
-        if x < 0.0:
+        if not x >= 0.0:
             if -x < _RK4_CLAMP_REL * scale:
                 x = 0.0
             else:
@@ -150,7 +156,8 @@ def step_rk4(s: State, dt: float, p: ModelParams) -> State:
 
 
 def step_em(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
-    """One Euler-Maruyama step; returns (new state, clamped flag)."""
+    """One Euler-Maruyama step; returns (new state, clamped flag), or
+    raises IntegrationError when a component goes NaN or -inf."""
     if not dt > 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     un, vn = _em_next(float(s[0]), float(s[1]), dt, dB, p)
@@ -163,7 +170,8 @@ def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State
     """One Milstein step; returns (new state, clamped flag).
 
     Coincides with step_em when dB^2 == dt or u == v, where the
-    correction factor vanishes.
+    correction factor vanishes. Raises IntegrationError when a component
+    goes NaN or -inf.
     """
     if not dt > 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -201,17 +209,6 @@ class Trajectory:
     integral_u: float | None = None
     integral_v: float | None = None
     max_total: float | None = None
-
-    @classmethod
-    def from_samples(cls, times, u, v) -> "Trajectory":
-        """Wrap plain sampled data (no clamp log, no accumulators)."""
-        times = np.asarray(times, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if not (len(times) == len(u) == len(v)):
-            raise ParameterError("times, u, v must have equal length")
-        return cls(times=times, u=u, v=v,
-                   clamped=np.zeros(len(times), dtype=bool))
 
     @property
     def n_points(self) -> int:
@@ -321,6 +318,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
     Stochastic schemes require ``path`` covering at least horizon/dt steps
     at the same dt; RK4 takes no driving path. Time averages are
     accumulated at full resolution regardless of the recording stride.
+    A failing step raises IntegrationError, prefixed with its start time.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
@@ -339,26 +337,29 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
                 f"path covers {path.n_steps} steps, {n_steps} needed")
         noise = path.increments[:n_steps].tolist()
         stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
-
-        def step(k, u, v, dB):
-            (un, vn), clamped = stepper(State(u, v), dt, dB, p)
-            if clamped:
-                clamp_times.append(k * dt)
-            return un, vn, clamped
     else:
         if path is not None:
             raise ParameterError("deterministic RK4 takes no driving path")
         noise = itertools.repeat(None)
 
-        def step(k, u, v, _):
-            try:
-                un, vn = step_rk4(State(u, v), dt, p)
-            except IntegrationError as exc:
-                raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
-            return un, vn, None
+        def stepper(s, dt, _, p):
+            return step_rk4(s, dt, p), None
+
+    def step(k, u, v, dB):
+        try:
+            (un, vn), clamped = stepper(State(u, v), dt, dB, p)
+        except IntegrationError as exc:
+            raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
+        if clamped:
+            clamp_times.append(k * dt)
+        return un, vn, clamped
 
     times, U, V, flags, count, integral_u, integral_v, max_total = _advance(
         step, u, v, dt, n_steps, record_stride, noise)
+    for x in (U[-1], V[-1]):
+        if not math.isfinite(x):  # a +inf from the last step; earlier ones fail the next
+            raise IntegrationError(f"at t={(n_steps - 1) * dt}: state went "
+                                   f"non-finite ({x}); reduce the step size")
     return Trajectory(
         times=times, u=U, v=V, clamped=flags, scheme=scheme, params=p,
         clamp_count=count, clamp_times=np.array(clamp_times),
@@ -378,7 +379,8 @@ class BatchResult:
     U and V have shape (n_paths, n_recorded), or (cells, n_paths,
     n_recorded) for a multi-cell run; the per-path arrays drop the last
     axis. Each path's column sequence is bit-identical to a scalar
-    simulate() of that path alone.
+    simulate() of that path alone, unless errors records a failure of its
+    row, after which the row's values mean nothing.
     """
 
     times: np.ndarray
@@ -390,6 +392,7 @@ class BatchResult:
     integral_u: np.ndarray | None  # full-resolution trapezoids
     integral_v: np.ndarray | None
     max_total: np.ndarray | None   # running max of u + v
+    errors: tuple[str | None, ...]  # per row: None, or its first failure
     scheme: Scheme | None = None
     params: ModelParams | tuple[ModelParams, ...] | None = None
 
@@ -420,7 +423,7 @@ class BatchResult:
             times=self.times, U=row(self.U), V=row(self.V),
             clamped=row(self.clamped), clamp_counts=row(self.clamp_counts),
             integral_u=row(self.integral_u), integral_v=row(self.integral_v),
-            max_total=row(self.max_total),
+            max_total=row(self.max_total), errors=self.errors[c:c + 1],
             scheme=self.scheme, params=self.params[c])
 
 
@@ -431,58 +434,52 @@ def _stack_params(ps: tuple[ModelParams, ...]) -> SimpleNamespace:
                               for f in fields(ModelParams)})
 
 
-def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """np.where(x >= _TINY, x, 0.0) and the lanes at or below -_TINY, or
-    None for the events when there are none.
+def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
+                                          np.ndarray | None]:
+    """np.where(x >= _TINY, x, 0.0), the clamp events (finite lanes at or
+    below -_TINY) and the failures (NaN or -inf lanes); events and
+    failures are None when there are none.
 
     One min() picks the tier: every lane normal or +inf needs no pass;
     lanes only as far below as the subnormals (an extinct lane sits at
     exact 0) are flushed without an event test; anything lower, or a NaN
-    minimum, takes the full pass.
+    minimum, takes the full pass, and only a NaN or -inf minimum looks
+    for failures. A +inf lane fails on the next step, as NaN or -inf.
     """
     lo = np.minimum.reduce(x, None)  # x.min() without its Python wrapper
     if lo >= _TINY:
-        return x, None
+        return x, None, None
     clamped = np.where(x >= _TINY, x, 0.0)
     if lo > -_TINY:
-        return clamped, None
-    events = x <= -_TINY
-    return clamped, events if events.any() else None
+        return clamped, None, None
+    events, failed = x <= -_TINY, None
+    if not lo > -np.inf:
+        failed = ~(x > -np.inf)
+        events &= ~failed
+    return clamped, events if events.any() else None, failed
+
+
+def _union(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """a | b of two lane masks, where None stands for no lane set."""
+    return b if a is None else a if b is None else a | b
 
 
 def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
     """One clamped Euler-Maruyama or Milstein step of lane arrays: (u, v,
-    clamp events), the events None when no lane clamped. dt may be a
-    column that gives each row its own step."""
+    clamp events, failed lanes), the masks None when no lane clamped or
+    failed. dt may be a column that gives each row its own step."""
     if scheme is Scheme.EULER_MARUYAMA:
         un, vn = _em_next(u, v, dt, dB, coeffs)
     else:
         un, vn = _milstein_next(u, v, dt, dB, coeffs)
-    un, ev_u = _clamp_array(un)
-    vn, ev_v = _clamp_array(vn)
-    if ev_u is None or ev_v is None:
-        return un, vn, ev_v if ev_u is None else ev_u
-    return un, vn, ev_u | ev_v
+    un, ev_u, bad_u = _clamp_array(un)
+    vn, ev_v, bad_v = _clamp_array(vn)
+    return un, vn, _union(ev_u, ev_v), _union(bad_u, bad_v)
 
 
 def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
     if np.any(u < 0.0) or np.any(v < 0.0) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ParameterError("initial states must be finite and nonnegative")
-
-
-def _rk4_failure(un: np.ndarray, vn: np.ndarray, bad_u: np.ndarray,
-                 bad_v: np.ndarray, t: float) -> IntegrationError:
-    """The error for the first failing cell, worded as a run of that cell
-    alone would word it: its first bad path in u, else in v."""
-    cell = None
-    if un.ndim == 2:
-        cell = int(np.argmax(np.any(bad_u | bad_v, axis=1)))
-        un, vn, bad_u, bad_v = un[cell], vn[cell], bad_u[cell], bad_v[cell]
-    arr, bad = (un, bad_u) if np.any(bad_u) else (vn, bad_v)
-    i = int(np.argmax(bad))
-    return IntegrationError(
-        f"path {i}: RK4 went negative at t={t} (value {arr[i]}); "
-        "reduce the step size", cell=cell)
 
 
 def _noise_rows(dW, n_paths: int, n_steps: int):
@@ -518,7 +515,9 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
 
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
-    batch. An RK4 failure names its row in IntegrationError.cell.
+    batch. A failing single-cell run raises IntegrationError; a multi-cell
+    run records in errors what a run of the failed row alone would raise,
+    parks the row at (0, 0) and runs the other rows on.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
@@ -539,12 +538,28 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                              "of params")
     _check_initial(u, v)
     n_paths = u.shape[-1]
+    errors: list[str | None] = [None] * (cells[0] if cells else 1)
+
+    def fail(k, bad_u, bad_v, un, vn, what):
+        """Record each newly failed row's error (its first bad path in u, else
+        in v) and park the row at (0, 0), a fixed point of every scheme."""
+        for c, (bu, bv, xu, xv) in enumerate(zip(*map(np.atleast_2d, (bad_u, bad_v, un, vn)))):
+            if errors[c] is None and (bu.any() or bv.any()):
+                x, bad = (xu, bu) if bu.any() else (xv, bv)
+                i = int(np.argmax(bad))
+                errors[c] = f"path {i}: {what.format(t=(k - 1) * dt, x=x[i])}; reduce the step size"
+                if not cells:
+                    raise IntegrationError(errors[c])
+                xu[:] = xv[:] = 0.0
 
     if scheme.is_stochastic:
         noise = _noise_rows(dW, n_paths, n_steps)
 
         def step(k, u, v, dB):
-            return _stochastic_next(scheme, u, v, dt, dB, coeffs)
+            un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+            if failed is not None:
+                fail(k, failed, failed, un, vn, _NON_FINITE)
+            return un, vn, events
     else:
         if dW is not None:
             raise ParameterError("deterministic RK4 takes no increments")
@@ -553,15 +568,19 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
         def step(k, u, v, _):
             un, vn = _rk4_next(u, v, dt, coeffs)
             floor = -_RK4_CLAMP_REL * np.maximum(1.0, np.abs(u) + np.abs(v))
-            bad_u = un < floor
-            bad_v = vn < floor
-            if np.any(bad_u) or np.any(bad_v):
-                raise _rk4_failure(un, vn, bad_u, bad_v, (k - 1) * dt)
+            ok_u = un >= floor  # False on NaN too
+            ok_v = vn >= floor
+            if not (ok_u.all() and ok_v.all()):
+                fail(k, ~ok_u, ~ok_v, un, vn, "RK4 went negative at t={t} (value {x})")
             return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), None
 
-    return BatchResult(*_advance(step, u, v, dt, n_steps, record_stride, noise,
-                                 outputs),
-                       scheme=scheme, params=p)
+    times, U, V, *rest = _advance(step, u, v, dt, n_steps, record_stride, noise,
+                                  outputs)
+    # a +inf from the last step; one from an earlier step fails the next
+    fail(n_steps, ~np.isfinite(U[..., -1]), ~np.isfinite(V[..., -1]), U[..., -1],
+         V[..., -1], _NON_FINITE)
+    return BatchResult(times, U, V, *rest, errors=tuple(errors), scheme=scheme,
+                       params=p)
 
 
 def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
@@ -575,7 +594,8 @@ def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
     row, then += left to right) while the rows stream by, and level L
     steps whenever its group of 2^L rows is complete. The levels that
     complete on a row always form a prefix 0..c-1 of the level axis, so
-    they advance together as one (c, n_paths) lane array.
+    they advance together as one (c, n_paths) lane array. Raises
+    IntegrationError when a run goes non-finite.
     """
     _check_initial(u0, v0)
     n = levels + 1
@@ -588,6 +608,12 @@ def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
         sums[:done] = row
         sums[done:] += row
         done = min(n, (k & -k).bit_length())  # levels L with 2^L dividing k
-        u[:done], v[:done], _ = _stochastic_next(
+        u[:done], v[:done], _, failed = _stochastic_next(
             scheme, u[:done], v[:done], dts[:done], sums[:done], p)
+        if failed is not None:
+            break
+    # a +inf from the last row; one from an earlier row fails the next
+    if failed is not None or not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise IntegrationError(f"a coupled run went non-finite by t={k * dt}; "
+                               "reduce the step size")
     return u, v

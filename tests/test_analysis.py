@@ -21,7 +21,7 @@ from jobmarket import (
     run_batch,
     simulate,
 )
-from jobmarket import brownian
+from jobmarket import analysis, brownian
 from jobmarket.analysis import (
     Observation,
     StrongOrderReport,
@@ -42,9 +42,17 @@ P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
 # ---------------------------------------------------------------------------
 # time averages
 
+def _samples(times, u, v):
+    """A trajectory of plain sampled data: no clamp log, no accumulators."""
+    times = np.asarray(times, dtype=float)
+    return Trajectory(times=times, u=np.asarray(u, dtype=float),
+                      v=np.asarray(v, dtype=float),
+                      clamped=np.zeros(len(times), dtype=bool))
+
+
 def test_time_average_constant_is_exact():
     times = np.arange(65) * 0.25  # dyadic grid, exact arithmetic throughout
-    traj = Trajectory.from_samples(times, np.full(65, 7.5), np.full(65, 3.25))
+    traj = _samples(times, np.full(65, 7.5), np.full(65, 3.25))
     assert time_average(traj, "u") == 7.5
     assert time_average(traj, "v") == 3.25
 
@@ -53,7 +61,7 @@ def test_time_average_linear_is_exact():
     # x(t) = t on [0, 1]: the trapezoid rule integrates affine data exactly,
     # and a dyadic grid keeps every float operation exact too
     times = np.arange(65) / 64.0
-    traj = Trajectory.from_samples(times, times, 2.0 * times)
+    traj = _samples(times, times, 2.0 * times)
     assert time_average(traj, "u") == 0.5
     assert time_average(traj, "v") == 1.0
 
@@ -71,10 +79,10 @@ def test_time_average_prefers_full_resolution_accumulator():
 
 
 def test_time_average_validates():
-    traj = Trajectory.from_samples([0.0], [1.0], [1.0])
+    traj = _samples([0.0], [1.0], [1.0])
     with pytest.raises(ParameterError):
         time_average(traj, "u")
-    good = Trajectory.from_samples([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    good = _samples([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ParameterError):
         time_average(good, "w")
 
@@ -160,8 +168,7 @@ def test_simulate_paths_passes_outputs_to_run_batch():
 # extinction detection
 
 def _traj(times, v):
-    times = np.asarray(times, dtype=float)
-    return Trajectory.from_samples(times, np.zeros_like(times), v)
+    return _samples(times, np.zeros(len(times)), v)
 
 
 def test_detect_extinction_immediate_for_dead_path():
@@ -447,6 +454,15 @@ def test_regime_map_rejects_empty_grids():
                    dt=0.01, n_paths=1, seed=1)
 
 
+@pytest.mark.parametrize("bad", [dict(horizon=0.0), dict(x0=State(-1.0, 1.0)),
+                                 dict(n_paths=0)])
+def test_regime_map_raises_on_a_bad_input_every_cell_shares(bad):
+    kwargs = dict(scheme=Scheme.MILSTEIN, x0=State(50.0, 10.0), horizon=1.0,
+                  dt=0.01, n_paths=2, seed=1)
+    with pytest.raises(ParameterError):
+        regime_map(P_FIG1, m_grid=[0.001], sigma_grid=[0.09], **{**kwargs, **bad})
+
+
 def test_regime_cells_csv_layout(tmp_path):
     cells = regime_map(P_FIG1, m_grid=[0.001], sigma_grid=[0.09, 0.0],
                        scheme=Scheme.MILSTEIN, x0=State(50.0, 10.0),
@@ -544,6 +560,47 @@ def test_regime_map_isolates_a_failing_rk4_cell():
                        Scheme.RK4, State(50.0, 10.0), 10.0, 0.5, 2, 20240101)
     assert failed.error == str(alone.value)
     assert failed.predicted is None and failed.observed is None
+
+
+def test_regime_map_runs_every_valid_cell_in_one_launch(monkeypatch):
+    # 8 valid cells (the sigma = 0 column fails classification), 6 of which
+    # fail mid-run under RK4 at this step size
+    launches = []
+
+    def counting(*args, **kwargs):
+        launches.append(len(args[1]))
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_batch", counting)
+    cells = regime_map(P_FIG1, m_grid=[5.0, 0.01, 3.0, 0.2],
+                       sigma_grid=[0.09, 0.0, 0.3], scheme=Scheme.RK4,
+                       x0=State(50.0, 10.0), horizon=10.0, dt=0.5, n_paths=3,
+                       seed=20240101)
+    assert launches == [8]
+    assert sum(c.error is None for c in cells) == 2
+
+
+HUGE = State(1e200, 1e200)  # u * v overflows on the first step
+P_HUGE = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.2)
+
+
+def test_ensemble_and_strong_order_raise_when_a_path_goes_non_finite():
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
+        ensemble(P_HUGE, Scheme.MILSTEIN, HUGE, 1.0, 0.01, n_paths=3, seed=1)
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
+        strong_order(P_HUGE, Scheme.MILSTEIN, HUGE, 1.0, 2.0**-8, 3, 3, 1)
+
+
+def test_regime_map_fails_a_cell_that_goes_non_finite():
+    kwargs = dict(scheme=Scheme.MILSTEIN, x0=HUGE, horizon=1.0, dt=0.01,
+                  n_paths=3, seed=1)
+    with pytest.warns(RuntimeWarning):
+        (cell,) = regime_map(P_HUGE, m_grid=[0.1], sigma_grid=[0.2], **kwargs)
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as alone:
+        simulate_paths(P_HUGE, kwargs["scheme"], HUGE, 1.0, 0.01, 3, 1)
+    assert cell.error == str(alone.value)
+    assert cell.error.startswith("path 0: state went non-finite at t=0.0")
+    assert cell.predicted is None and cell.observed is None
 
 
 def test_simulate_paths_streams_noise_in_bounded_memory():

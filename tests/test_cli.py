@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import shutil
@@ -301,6 +302,36 @@ def test_sweep_isolates_a_failing_rk4_cell(tmp_path):
         "m,sigma,predicted,observed,v_time_avg\n"
         "0.01,0.09,extinction,v_persists,72.17673201394942\n"
         "5.0,0.09,,,\n")
+
+
+HUGE = dict(x0={"u": 1e200, "v": 1e200},  # u * v overflows on the first step
+            params={"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.2})
+
+
+@pytest.mark.parametrize("command,error,numpy_warns", [
+    # the deterministic companion run fails first, on Python floats
+    ("simulate", "error: at t=0.0: RK4 step from (1e+200, 1e+200)", False),
+    ("ensemble", "error: path 0: state went non-finite at t=0.0;", True),
+])
+def test_a_run_that_goes_non_finite_exits_4(tmp_path, capsys, command, error,
+                                            numpy_warns):
+    cfg = write_config(tmp_path, **HUGE)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning) if numpy_warns else contextlib.nullcontext():
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith(error)
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_fails_a_cell_that_goes_non_finite(tmp_path):
+    cfg = write_config(tmp_path, **HUGE)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--m-grid",
+                     "0.1", "--sigma-grid", "0.2", "--quiet"]) == 0
+    assert (out / "sweep.csv").read_text() == (
+        "m,sigma,predicted,observed,v_time_avg\n"
+        "0.1,0.2,,,\n")
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

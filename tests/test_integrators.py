@@ -1,7 +1,9 @@
 import io
 import itertools
 import math
+import re
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,6 @@ from jobmarket import (
     ParameterError,
     Scheme,
     State,
-    Trajectory,
     generate,
     run_batch,
     simulate,
@@ -26,8 +27,8 @@ from jobmarket import (
 )
 from jobmarket import brownian
 from jobmarket.brownian import NoiseStream
-from jobmarket.integrators import (_clamp_array, _em_next, _milstein_corr,
-                                  _milstein_next, _stochastic_next)
+from jobmarket.integrators import (_clamp_array, _coupled_terminals, _em_next,
+                                  _milstein_corr, _milstein_next, _stochastic_next)
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
@@ -312,11 +313,6 @@ def test_trajectory_csv_round_trips():
         assert clamped in ("0", "1")
 
 
-def test_trajectory_from_samples_validates():
-    with pytest.raises(ParameterError):
-        Trajectory.from_samples([0, 1], [1, 2, 3], [1, 2])
-
-
 # ---------------------------------------------------------------------------
 # batch engine agrees with scalar stepping bit for bit
 
@@ -395,18 +391,29 @@ def test_multi_cell_rows_match_single_cell_runs(scheme):
             assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+_BATCH_FIELDS = ("U", "V", "clamped", "clamp_counts", "integral_u", "integral_v",
+                 "max_total")
+
+
+def _assert_rows_match_runs_alone(stacked, rows, alone):
+    for c in rows:
+        row = stacked.cell(c)
+        assert row.errors == alone.errors == (None,)
+        for name in _BATCH_FIELDS:
+            assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
 def test_multi_cell_rk4_failure_names_its_cell():
     ok = ModelParams(r=1.0, K=100.0, m=0.01, d=0.2, sigma=0.09)
     bad = ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09)
     u0, v0 = np.full(2, 50.0), np.full(2, 10.0)
     with pytest.raises(IntegrationError) as alone:
         run_batch(Scheme.RK4, bad, u0, v0, 10.0, 0.5, None)
-    assert alone.value.cell is None
-    with pytest.raises(IntegrationError) as stacked:
-        run_batch(Scheme.RK4, [ok, bad, ok], np.tile(u0, (3, 1)),
-                  np.tile(v0, (3, 1)), 10.0, 0.5, None)
-    assert stacked.value.cell == 1
-    assert str(stacked.value) == str(alone.value)
+    stacked = run_batch(Scheme.RK4, [ok, bad, ok], np.tile(u0, (3, 1)),
+                        np.tile(v0, (3, 1)), 10.0, 0.5, None)
+    assert stacked.errors == (None, str(alone.value), None)
+    _assert_rows_match_runs_alone(stacked, (0, 2),
+                                  run_batch(Scheme.RK4, ok, u0, v0, 10.0, 0.5, None))
 
 
 def test_multi_cell_validates_shapes():
@@ -578,9 +585,9 @@ def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cell
     n_paths = len(x0s)
     paths = [generate(seed, i, dt, n_steps) if scheme.is_stochastic else None
              for i in range(n_paths)]
-    u0 = np.array([x0[0] for x0 in x0s])
-    v0 = np.array([x0[1] for x0 in x0s])
-    p = cells[0]
+    lanes_u0 = np.array([x0[0] for x0 in x0s])
+    lanes_v0 = np.array([x0[1] for x0 in x0s])
+    p, u0, v0 = cells[0], lanes_u0, lanes_v0
     if len(cells) > 1:
         p, u0, v0 = cells, np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
     dW = None
@@ -588,21 +595,24 @@ def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cell
         dW = (NoiseStream(seed, n_paths, dt, n_steps) if stream
               else np.stack([path.increments for path in paths]))
 
-    refs = []
-    for cell in cells:
-        for x0, path in zip(x0s, paths):
+    refs, failed = [], {}  # failed: cell index -> the error of its run alone
+    for c, cell in enumerate(cells):
+        for i, (x0, path) in enumerate(zip(x0s, paths)):
             try:
                 ref = _reference_path(scheme, cell, x0, dt, n_steps, stride,
                                       None if path is None else path.increments)
             except IntegrationError as ref_exc:
-                # only RK4 raises; simulate prefixes the time of the step
+                # only RK4 raises here; simulate prefixes the time of the step
                 with pytest.raises(IntegrationError) as exc:
                     simulate(scheme, cell, State(*x0), horizon, dt, record_stride=stride)
                 assert str(exc.value).startswith("at t=")
                 assert str(exc.value).endswith(f": {ref_exc}")
-                with pytest.raises(IntegrationError):
-                    run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
-                return
+                if c not in failed:
+                    with pytest.raises(IntegrationError) as alone:
+                        run_batch(scheme, cell, lanes_u0, lanes_v0, horizon, dt, dW,
+                                  record_stride=stride)
+                    failed[c] = str(alone.value)
+                continue
             traj = simulate(scheme, cell, State(*x0), horizon, dt, path=path,
                             record_stride=stride)
             _assert_matches(ref, traj.times, traj.u, traj.v, traj.clamped,
@@ -615,20 +625,24 @@ def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cell
             assert _bits(full.clamp_times) == _bits(traj.clamp_times)
             assert _bits([full.integral_u, full.integral_v, full.max_total]) == \
                 _bits([traj.integral_u, traj.integral_v, traj.max_total])
-            refs.append(ref)
+            refs.append((c, (c, i) if len(cells) > 1 else (i,), ref))
+    if len(cells) == 1 and failed:
+        return  # the single-cell run raised above
 
+    # a multi-cell run records each failed cell's error and runs the rest on
     batch = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
     full = run_batch(scheme, p, u0, v0, horizon, dt,
                      None if dW is None else np.stack([path.increments for path in paths]))
-    for name in ("clamp_counts", "integral_u", "integral_v", "max_total"):
-        assert getattr(full, name).tobytes() == getattr(batch, name).tobytes(), name
-    lanes = [(c, i) if len(cells) > 1 else (i,)
-             for c in range(len(cells)) for i in range(n_paths)]
-    for lane, ref in zip(lanes, refs):
+    assert batch.errors == full.errors == tuple(failed.get(c) for c in range(len(cells)))
+    for c, lane, ref in refs:
+        if c in failed:
+            continue
         _assert_matches(ref, batch.times, batch.U[lane], batch.V[lane],
                         batch.clamped[lane], batch.clamp_counts[lane],
                         batch.integral_u[lane], batch.integral_v[lane],
                         batch.max_total[lane])
+        for name in ("clamp_counts", "integral_u", "integral_v", "max_total"):
+            assert _bits(getattr(full, name)[lane]) == _bits(getattr(batch, name)[lane]), name
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +668,20 @@ def _assert_events(events, truth):
         assert events is None
 
 
+def _non_finite(x):
+    """The lanes that fail: NaN or -inf."""
+    return ~(x > -math.inf)
+
+
 @example(x=np.array([-_TINY, 1.0]))  # exactly -DBL_MIN is an event
-@example(x=np.array([[0.0, math.nan], [1.0, 2.0]]))  # NaN is flushed, no event
+@example(x=np.array([[0.0, math.nan], [1.0, 2.0]]))  # NaN fails, no event
+@example(x=np.array([-math.inf, -1.0]))  # -inf fails, no event
 @given(x=_LANES)
 def test_clamp_array_tiers_match_the_full_pass(x):
-    out, events = _clamp_array(x)
+    out, events, failed = _clamp_array(x)
     assert _bits(out) == _bits(np.where(x >= _TINY, x, 0.0))
-    _assert_events(events, x <= -_TINY)
+    _assert_events(events, (x <= -_TINY) & ~_non_finite(x))
+    _assert_events(failed, _non_finite(x))
 
 
 _SHAPE = st.shared(array_shapes(min_dims=1, max_dims=2, max_side=6), key="lanes")
@@ -678,13 +699,16 @@ def test_stochastic_next_reports_events_only_when_a_lane_clamps(scheme, u, v, dB
                                                                sigma, dt):
     p = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=sigma)
     with np.errstate(all="ignore"):
-        un, vn, events = _stochastic_next(scheme, u, v, dt, dB, p)
+        un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, p)
         next_ = _em_next if scheme is Scheme.EULER_MARUYAMA else _milstein_next
         ref_u, ref_v = next_(u, v, dt, dB, p)
-    # each component clamps as the full pass would; the events are their union
+    # each component clamps as the full pass would; the events and the
+    # failures are their unions
     assert _bits(un) == _bits(np.where(ref_u >= _TINY, ref_u, 0.0))
     assert _bits(vn) == _bits(np.where(ref_v >= _TINY, ref_v, 0.0))
-    _assert_events(events, (ref_u <= -_TINY) | (ref_v <= -_TINY))
+    _assert_events(events, ((ref_u <= -_TINY) & ~_non_finite(ref_u))
+                   | ((ref_v <= -_TINY) & ~_non_finite(ref_v)))
+    _assert_events(failed, _non_finite(ref_u) | _non_finite(ref_v))
 
 
 # ---------------------------------------------------------------------------
@@ -724,3 +748,141 @@ def test_outputs_rejects_an_unknown_name():
     with pytest.raises(ParameterError, match="integral_w"):
         run_batch(Scheme.MILSTEIN, P_FIG1, np.ones(2), np.ones(2), 1.0, 0.01,
                   _noise_matrix(1, 2, 0.01, 100), outputs={"integral_w"})
+
+
+# ---------------------------------------------------------------------------
+# a state that goes non-finite fails its row; it never reads as a clamp or as
+# extinction
+
+P_HUGE = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.2)
+HUGE = 1e200  # u * v overflows on the first step
+# from (1e308, 0) Euler-Maruyama's first step lands on exactly (+inf, 0);
+# the next goes NaN
+P_OVERFLOW = ModelParams(r=10.0, K=1.7e308, m=0.1, d=0.2, sigma=0.2)
+
+
+@pytest.mark.parametrize("scheme,message", [
+    (Scheme.MILSTEIN, "path 0: state went non-finite at t=0.0; reduce the step size"),
+    (Scheme.RK4, "path 0: RK4 went negative at t=0.0 (value nan); reduce the step size"),
+])
+def test_non_finite_lane_fails_a_single_cell_run(scheme, message):
+    dW = np.zeros((2, 100)) if scheme.is_stochastic else None
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as exc:
+        run_batch(scheme, P_HUGE, np.array([HUGE, 1.0]), np.array([HUGE, 1.0]),
+                  1.0, 0.01, dW)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_non_finite_row_is_recorded_and_the_others_run_on(scheme):
+    u0, v0 = np.array([50.0, 3.0]), np.array([10.0, 40.0])
+    dW = _noise_matrix(4, 2, 0.01, 100) if scheme.is_stochastic else None
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as alone:
+        run_batch(scheme, P_HUGE, np.full(2, HUGE), np.full(2, HUGE), 1.0, 0.01, dW)
+    huge_row = np.full((1, 2), HUGE)
+    with pytest.warns(RuntimeWarning):
+        stacked = run_batch(scheme, [P_HUGE] * 3,
+                            np.concatenate([[u0], huge_row, [u0]]),
+                            np.concatenate([[v0], huge_row, [v0]]), 1.0, 0.01, dW)
+    assert stacked.errors == (None, str(alone.value), None)
+    _assert_rows_match_runs_alone(stacked, (0, 2),
+                                  run_batch(scheme, P_HUGE, u0, v0, 1.0, 0.01, dW))
+
+
+def _numpy_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [str(w.message) for w in caught]
+
+
+def test_failed_row_is_frozen_and_warns_no_more():
+    # from (1e200, 1e200) with dB > 0 the first Euler-Maruyama step lands
+    # on (-inf, +inf) and warns; left running, the row would go on from
+    # (0, +inf) to 0 * inf and warn at every step
+    def run(n_steps):
+        return lambda: run_batch(Scheme.EULER_MARUYAMA, [P_FIG1, P_HUGE],
+                                 np.array([[50.0, 1.0], [HUGE, 1.0]]),
+                                 np.array([[10.0, 1.0], [HUGE, 1.0]]), n_steps * 0.01,
+                                 0.01, np.full((2, n_steps), 0.1))
+
+    first = _numpy_warnings(run(1))
+    assert first and _numpy_warnings(run(100)) == first
+    # an RK4 row that went negative would overflow a few steps later
+    bad = ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09)
+    assert _numpy_warnings(lambda: run_batch(
+        Scheme.RK4, [P_FIG1, bad], np.full((2, 2), 50.0), np.full((2, 2), 10.0),
+        10.0, 0.5, None)) == []
+
+
+def test_simulate_raises_when_the_state_goes_non_finite():
+    # Python floats overflow to inf and NaN without a warning
+    path = generate(1, 0, 0.01, 100)
+    with pytest.raises(IntegrationError) as exc:
+        simulate(Scheme.MILSTEIN, P_HUGE, State(HUGE, HUGE), 1.0, 0.01, path=path)
+    assert str(exc.value).startswith("at t=0.0: state went non-finite (")
+    with pytest.raises(IntegrationError) as exc:
+        simulate(Scheme.RK4, P_HUGE, State(HUGE, HUGE), 1.0, 0.01)
+    assert str(exc.value).startswith("at t=0.0: RK4 step from")
+
+
+def test_a_plus_inf_on_the_last_step_fails_the_run():
+    with pytest.raises(IntegrationError) as exc:
+        simulate(Scheme.EULER_MARUYAMA, P_OVERFLOW, State(1e308, 0.0), 0.01, 0.01,
+                 path=generate(1, 0, 0.01, 1))
+    assert str(exc.value) == "at t=0.0: state went non-finite (inf); reduce the step size"
+    for n_steps, t in ((1, 0.0), (2, 0.01)):  # one step: +inf; two: NaN
+        with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as exc:
+            run_batch(Scheme.EULER_MARUYAMA, P_OVERFLOW, np.array([1e308]), np.zeros(1),
+                      n_steps * 0.01, 0.01, np.zeros((1, n_steps)))
+        assert str(exc.value) == f"path 0: state went non-finite at t={t}; reduce the step size"
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
+        _coupled_terminals(Scheme.EULER_MARUYAMA, P_OVERFLOW, np.array([1e308]),
+                           np.zeros(1), 0.01, np.zeros((1, 1)), 1, 0)
+
+
+_BIG_X0 = st.tuples(st.floats(0.0, 100.0) | st.sampled_from([1e150, HUGE, 1e308]),
+                    st.floats(0.0, 100.0) | st.sampled_from([1e150, HUGE, 1e308]))
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from(list(Scheme)),
+       cells=st.lists(_PARAMS, min_size=1, max_size=3),
+       x0s=st.lists(_BIG_X0, min_size=1, max_size=3),
+       dt=st.sampled_from([0.01, 0.25, 1.0]),
+       stride=st.integers(1, 4), n_rows=st.integers(1, 6),
+       seed=st.integers(0, 2**64 - 1), step_cap=st.sampled_from([1, 3, 4096]))
+def test_only_failed_rows_leave_the_quadrant(monkeypatch, scheme, cells, x0s, dt,
+                                             stride, n_rows, seed, step_cap):
+    n_steps = stride * n_rows
+    u0 = np.tile([x0[0] for x0 in x0s], (len(cells), 1))
+    v0 = np.tile([x0[1] for x0 in x0s], (len(cells), 1))
+    dW = None
+    if scheme.is_stochastic:
+        dW = _noise_matrix(seed, len(x0s), dt, n_steps)
+    with np.errstate(all="ignore"):
+        every_step = run_batch(scheme, cells, u0, v0, n_steps * dt, dt, dW)
+        monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+        thin = run_batch(scheme, cells, u0, v0, n_steps * dt, dt,
+                         None if dW is None else NoiseStream(seed, len(x0s), dt, n_steps),
+                         record_stride=stride)
+    # the record of failures depends on neither the stride nor the blocks
+    assert thin.errors == every_step.errors
+    for c, (cell, error) in enumerate(zip(cells, every_step.errors)):
+        if error is None:
+            for states in (every_step.U[c], every_step.V[c]):
+                assert np.all(np.isfinite(states)) and np.all(states >= 0.0)
+        # a row fails at the step where its first path fails when run alone
+        # on Python floats
+        failures = []
+        for i, x0 in enumerate(x0s):
+            try:
+                simulate(scheme, cell, State(*x0), n_steps * dt, dt,
+                         path=None if dW is None else generate(seed, i, dt, n_steps))
+            except IntegrationError as exc:
+                failures.append(float(re.match(r"at t=([^:]+):", str(exc))[1]))
+        if error is None:
+            assert failures == []
+        else:
+            assert float(re.search(r" at t=([^ ;]+)", error)[1]) == min(failures)
