@@ -4,7 +4,9 @@ Each path is an i.i.d. N(0, dt) increment sequence drawn from a stream
 keyed by (seed, path_index) through numpy's SeedSequence, which mixes the
 key cryptographically before seeding a PCG64 generator. Distinct keys give
 independent streams, so an ensemble's paths can be produced in any order,
-or concurrently, without changing a single bit of any path.
+or concurrently, without changing a single bit of any path. A large
+NoiseStream uses that: a forked producer process draws the next block
+while the caller steps through the current one.
 
 The sampling algorithm is pinned per release: PCG64 driven standard
 normals (numpy's ziggurat) scaled by sqrt(dt). Regenerating with the same
@@ -17,9 +19,14 @@ strong-convergence experiments.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 import mmap
+import os
+import signal
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -33,8 +40,9 @@ _MAGIC = b"BPATH1\x00\x00"
 _HEADER = struct.Struct("<8sdIQI")  # magic, dt, n_steps, seed, path_index
 assert _HEADER.size == 32
 
-_BLOCK_BYTES = 16_000_000  # noise resident per stream: row buffer plus block
+_BLOCK_BYTES = 16_000_000  # noise resident per stream, over every buffer it keeps
 _BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
+_FORK_MIN = 2**20  # paths x steps from which a producer process pays back its fork
 
 
 @dataclass(frozen=True)
@@ -86,16 +94,24 @@ def _mapped(rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=float).reshape(rows, cols)
 
 
-def _blocks(seed: int, paths, dt: float, n_steps: int, block: int):
-    """The pinned sampler: row j of each view holds stream (seed, paths[j])'s next increments."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has fork but no affinity mask
+        return os.cpu_count() or 1
+
+
+def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray):
+    """The pinned sampler: each view of the (len(paths), block) buffer rows
+    holds, in row j, the next standard normals of stream (seed, paths[j]);
+    callers scale them by sqrt(dt)."""
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in paths]
-    rows = _mapped(len(rngs), block)
+    block = rows.shape[1]
     for start in range(0, n_steps, block):
-        b = min(block, n_steps - start)
-        for rng, row in zip(rngs, rows[:, :b]):
+        view = rows[:, :min(block, n_steps - start)]
+        for rng, row in zip(rngs, view):
             rng.standard_normal(out=row)
-        rows[:, :b] *= math.sqrt(dt)
-        yield rows[:, :b]
+        yield view
 
 
 def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPath:
@@ -105,33 +121,116 @@ def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPat
     any other stream that has been drawn from.
     """
     dt = _validate(seed, path_index, dt, n_steps)
-    increments = next(_blocks(seed, [path_index], dt, n_steps, n_steps))[0]  # one block
+    increments = next(_blocks(seed, [path_index], n_steps, _mapped(1, n_steps)))[0]
+    increments *= math.sqrt(dt)
     increments.flags.writeable = False
     return BrownianPath(dt=dt, increments=increments, seed=seed,
                         path_index=path_index)
 
 
+def _scaled(draws, scale: float, out: np.ndarray):
+    """Each view of draws times scale, written time-major into out."""
+    for rows in draws:
+        yield np.multiply(rows.T, scale, out=out[:rows.shape[1]])
+
+
+def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
+    """The blocks of draws times scale, time-major, from a forked producer.
+
+    The producer writes block j into slots[j % 2] while the caller steps
+    through block j - 1 in the other slot. Pipes carry one byte per block
+    each way: "ready" from the producer, "free" from the caller once it
+    asks for the block after. The producer leaves by os._exit, so it never
+    unwinds into the caller's frames or runs their cleanup, and it exits
+    when the "free" pipe reaches EOF.
+    """
+    block = slots.shape[1]
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that fork() in a multi-threaded process
+            # (numpy's OpenBLAS starts a thread at import) may deadlock the
+            # child. The producer touches no BLAS and no lock another thread
+            # could hold: it draws from generators it owns and calls
+            # os.read, os.write and os._exit.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): draw in process
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        yield from _scaled(draws, scale, slots[0])
+        return
+    if pid == 0:
+        code = 1
+        try:
+            gc.disable()  # no finalizer of an object inherited from the caller runs here
+            os.close(ready_r)
+            os.close(free_w)
+            for j, rows in enumerate(draws):
+                if j >= 2 and not os.read(free_r, 1):
+                    break  # the caller is gone
+                np.multiply(rows.T, scale, out=slots[j % 2, :rows.shape[1]])
+                os.write(ready_w, b"\0")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for j, start in enumerate(range(0, n_steps, block)):
+            if not os.read(ready_r, 1):
+                raise RuntimeError(f"the noise producer process {pid} ended "
+                                   f"before block {j} of the stream")
+            yield slots[j % 2, :min(block, n_steps - start)]
+            if start + 2 * block < n_steps:
+                # a producer that died reaches EOF on the "ready" pipe, not here
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, b"\0")
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        # a producer forked later holds a copy of free_w, so EOF alone may
+        # not end this one; the pid stays ours until it is reaped
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 class NoiseStream:
     """Paths i < n_paths of generate(seed, i, dt, n_steps), bit for bit, as time-major
-    (<= block, n_paths) views of one reused buffer; nbytes counts the noise bytes resident."""
+    (<= block, n_paths) views of reused buffers; nbytes counts the noise bytes resident.
+
+    At n_paths * n_steps >= _FORK_MIN, where fork exists and two CPUs are
+    usable, a forked producer process draws each block while the caller
+    steps through the one before; otherwise the blocks are drawn in process.
+    """
 
     def __init__(self, seed: int, n_paths: int, dt: float, n_steps: int):
         if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
             raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
         self.dt = _validate(seed, n_paths - 1, dt, n_steps)
         self.seed, self.n_paths, self.n_steps = seed, n_paths, n_steps
-        self.block = self._block_steps(n_paths, n_steps)
-        self.nbytes = 16 * n_paths * self.block
+        self._forks = (hasattr(os, "fork") and n_paths * n_steps >= _FORK_MIN
+                       and _usable_cpus() >= 2)
+        # a row buffer, plus one block in process or two shared slots forked
+        buffers = 3 if self._forks else 2
+        self.block = self._block_steps(n_paths, n_steps, buffers)
+        self.nbytes = 8 * buffers * n_paths * self.block
 
     @staticmethod
-    def _block_steps(n_paths: int, n_steps: int) -> int:
-        return max(1, min(n_steps, _BLOCK_STEPS, _BLOCK_BYTES // (16 * n_paths)))
+    def _block_steps(n_paths: int, n_steps: int, buffers: int = 2) -> int:
+        return max(1, min(n_steps, _BLOCK_STEPS, _BLOCK_BYTES // (8 * buffers * n_paths)))
 
     def __iter__(self):
-        out = _mapped(self.block, self.n_paths)
-        for rows in _blocks(self.seed, range(self.n_paths), self.dt, self.n_steps, self.block):
-            out[:rows.shape[1]] = rows.T
-            yield out[:rows.shape[1]]
+        draws = _blocks(self.seed, range(self.n_paths), self.n_steps,
+                        _mapped(self.n_paths, self.block))
+        scale = math.sqrt(self.dt)
+        if self._forks:
+            slots = _mapped(2 * self.block, self.n_paths).reshape(2, self.block, self.n_paths)
+            yield from _produced(draws, scale, slots, self.n_steps)
+        else:
+            yield from _scaled(draws, scale, _mapped(self.block, self.n_paths))
 
 
 def group_sums(increments: np.ndarray, factor: int) -> np.ndarray:

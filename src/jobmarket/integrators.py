@@ -97,7 +97,7 @@ def _em_next(u, v, dt, dB, p: ModelParams):
 
 
 def _milstein_corr(u, v, dt, dB, p: ModelParams):
-    return 0.5 * p.sigma * p.sigma * u * v * (v - u) * (dB * dB - dt)
+    return p.half_sigma_sq * u * v * (v - u) * (dB * dB - dt)
 
 
 def _milstein_next(u, v, dt, dB, p: ModelParams):
@@ -428,10 +428,12 @@ class BatchResult:
 
 
 def _stack_params(ps: tuple[ModelParams, ...]) -> SimpleNamespace:
-    """The constants of several ModelParams as (cells, 1) columns, which
-    broadcast row c of a (cells, n_paths) lane array against ps[c]."""
-    return SimpleNamespace(**{f.name: np.array([[getattr(q, f.name)] for q in ps])
-                              for f in fields(ModelParams)})
+    """The constants of several ModelParams, and their half_sigma_sq, as
+    (cells, 1) columns, which broadcast row c of a (cells, n_paths) lane
+    array against ps[c]."""
+    names = [f.name for f in fields(ModelParams)] + ["half_sigma_sq"]
+    return SimpleNamespace(**{name: np.array([[getattr(q, name)] for q in ps])
+                              for name in names})
 
 
 def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
@@ -574,8 +576,14 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                 fail(k, ~ok_u, ~ok_v, un, vn, "RK4 went negative at t={t} (value {x})")
             return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), None
 
-    times, U, V, *rest = _advance(step, u, v, dt, n_steps, record_stride, noise,
-                                  outputs)
+    try:
+        times, U, V, *rest = _advance(step, u, v, dt, n_steps, record_stride,
+                                      noise, outputs)
+    finally:
+        if scheme.is_stochastic:
+            # a forked noise producer ends here, not when a traceback that
+            # holds this frame is dropped
+            noise.close()
     # a +inf from the last step; one from an earlier step fails the next
     fail(n_steps, ~np.isfinite(U[..., -1]), ~np.isfinite(V[..., -1]), U[..., -1],
          V[..., -1], _NON_FINITE)

@@ -75,7 +75,7 @@ class ModelParams:
     d      labour-force disappearance rate, > 0
     sigma  noise intensity on the matching flux, >= 0
 
-    mu = min(r, d) is derived on demand and never stored.
+    mu = min(r, d) and half_sigma_sq are derived on demand and never stored.
     """
 
     r: float
@@ -94,6 +94,11 @@ class ModelParams:
         if sigma < 0.0:
             raise ParameterError(f"sigma must be >= 0, got {sigma}")
         object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def half_sigma_sq(self) -> float:
+        """0.5 * sigma * sigma, in that order: the Milstein correction's factor."""
+        return 0.5 * self.sigma * self.sigma
 
     def mu(self) -> float:
         """min(r, d), the decay rate in the ultimate bound."""

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -355,9 +356,11 @@ def test_strong_order_streams_noise_in_bounded_memory():
     lambda: strong_order(P_FIG2, Scheme.MILSTEIN, State(2.0, 9.8), 2.0 ** -7,
                          2.0 ** -20, 5, 1000, 7),
 ], ids=["simulate_paths", "strong_order"])
-def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, run):
-    # the row buffer and the block live in mappings of their own, which
-    # tracemalloc does not see, so their sizes are bounded here
+def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, forks, run):
+    # the noise buffers live in mappings of their own, which tracemalloc
+    # does not see, so their sizes are bounded here; the stream forks a
+    # producer, and all three of its buffers (the producer's row buffer and
+    # two shared slots) are mapped before the fork, where this spy sees them
     requested = []
     mapped = brownian._mapped
 
@@ -367,7 +370,9 @@ def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, run):
 
     monkeypatch.setattr(brownian, "_mapped", spy)
     run()  # 1000 paths x 8192 steps: 65.5 MB of increments
-    assert len(requested) == 2
+    assert len(forks) == 1
+    row_buffer = 1000 * 8 * (brownian._BLOCK_BYTES // (3 * 1000 * 8))
+    assert sorted(requested) == [row_buffer, 2 * row_buffer]
     assert sum(requested) <= brownian._BLOCK_BYTES
 
 
@@ -589,6 +594,17 @@ def test_ensemble_and_strong_order_raise_when_a_path_goes_non_finite():
         ensemble(P_HUGE, Scheme.MILSTEIN, HUGE, 1.0, 0.01, n_paths=3, seed=1)
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
         strong_order(P_HUGE, Scheme.MILSTEIN, HUGE, 1.0, 2.0**-8, 3, 3, 1)
+
+
+def test_a_failed_forked_ensemble_leaves_no_process_behind(forks):
+    # 256 paths x 4096 steps fork a noise producer; the run fails at step 1
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as failure:
+        ensemble(P_HUGE, Scheme.MILSTEIN, HUGE, 40.96, 0.01, n_paths=256, seed=1)
+    assert len(forks) == 1
+    # the traceback, still held here, holds the frames of the failed run
+    assert failure.traceback
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_regime_map_fails_a_cell_that_goes_non_finite():

@@ -1,5 +1,11 @@
+import contextlib
+import errno
 import io
 import math
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -230,17 +236,139 @@ def test_stream_columns_equal_generated_paths(monkeypatch, seed, n_paths,
         assert stacked[:, i].tobytes() == expected.tobytes()
 
 
-def test_stream_blocks_are_contiguous_bounded_and_redrawn_per_iteration():
-    stream = NoiseStream(3, 4000, 0.01, 10_000)
-    # a row buffer and a block, both (block x 4000) doubles, under the cap
-    assert stream.block == brownian._BLOCK_BYTES // (2 * 4000 * 8)
-    assert stream.nbytes == 2 * stream.block * 4000 * 8 <= brownian._BLOCK_BYTES
-    first = next(iter(stream)).copy()
-    block = next(iter(stream))
-    assert block.flags.c_contiguous and block.shape == (stream.block, 4000)
-    assert np.array_equal(block, first)
+def test_stream_blocks_are_contiguous_bounded_and_redrawn_per_iteration(monkeypatch):
+    # in process a row buffer and a block; forked, the producer's row buffer
+    # and two shared slots: each (block x 4000) doubles, all under the cap
+    for cpus, buffers in [(1, 2), (2, 3)]:
+        monkeypatch.setattr(brownian, "_usable_cpus", lambda n=cpus: n)
+        stream = NoiseStream(3, 4000, 0.01, 10_000)
+        assert stream.block == brownian._BLOCK_BYTES // (buffers * 4000 * 8)
+        assert stream.nbytes == buffers * stream.block * 4000 * 8 <= brownian._BLOCK_BYTES
+        first = next(iter(stream)).copy()
+        block = next(iter(stream))
+        assert block.flags.c_contiguous and block.shape == (stream.block, 4000)
+        assert np.array_equal(block, first)
     narrow = NoiseStream(3, 10, 0.01, 10_000)
     assert narrow.block == brownian._BLOCK_STEPS < 10_000
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(1, 6),
+       n_steps=st.integers(1, 40), step_cap=st.integers(1, 9),
+       dt=st.sampled_from([0.01, 1e-6, 0.5, 3.0]))
+def test_forked_stream_columns_equal_generated_paths(monkeypatch, forks, seed,
+                                                     n_paths, n_steps, step_cap, dt):
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    stream = NoiseStream(seed, n_paths, dt, n_steps)
+    assert stream.nbytes == 3 * 8 * n_paths * stream.block
+    before = len(forks)
+    blocks = [block.copy() for block in stream]  # blocks share two slots
+    assert len(forks) == before + 1
+    assert all(b.shape[1] == n_paths and len(b) <= stream.block for b in blocks)
+    stacked = np.concatenate(blocks)
+    assert stacked.shape == (n_steps, n_paths)
+    for i in range(n_paths):
+        expected = generate(seed, i, dt, n_steps).increments
+        assert stacked[:, i].tobytes() == expected.tobytes()
+    _no_child_left()
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    def timeout(*_):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_forked_stream_leaves_no_process_behind(forks):
+    stream = NoiseStream(5, 512, 0.01, 4096)  # 2^21 increments: forks
+    assert sum(len(block) for block in stream) == 4096
+    _no_child_left()
+    next(iter(stream))  # the iterator is dropped after one block
+    _no_child_left()
+    # the second producer holds a copy of the first one's "free" pipe, so
+    # dropping the first iterator must not wait for that pipe's EOF
+    first, second = iter(stream), iter(stream)
+    next(first), next(second)
+    with _within(10):
+        del first
+        del second
+    _no_child_left()
+    assert len(forks) == 4
+
+
+def test_stream_draws_in_process_without_fork_or_a_second_cpu(monkeypatch, forks):
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: 1)
+    one_cpu = NoiseStream(5, 512, 0.01, 4096)
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    no_fork = NoiseStream(5, 512, 0.01, 4096)
+    for stream in one_cpu, no_fork:
+        assert stream.nbytes == 2 * 8 * 512 * stream.block
+        next(iter(stream))
+    assert forks == []
+
+
+def test_stream_draws_in_process_when_fork_fails(monkeypatch):
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 3)
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    stacked = np.concatenate([block.copy() for block in NoiseStream(7, 3, 0.01, 10)])
+    for i in range(3):
+        assert stacked[:, i].tobytes() == generate(7, i, 0.01, 10).increments.tobytes()
+    if open_fds:  # the four pipe ends are closed again
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_killed_producer_makes_iteration_raise(monkeypatch, forks):
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 8)
+    blocks = iter(NoiseStream(5, 3, 0.01, 80_000))
+    next(blocks)
+    os.kill(forks[0], signal.SIGKILL)
+    with _within(10), pytest.raises(RuntimeError, match="noise producer process .* ended"):
+        for _ in blocks:
+            pass
+    _no_child_left()
+
+
+def test_forking_a_multithreaded_process_warns_nothing(monkeypatch, forks):
+    # Python 3.12+ warns on fork() while another thread runs, as numpy's
+    # OpenBLAS thread does. The warning is dropped, not raised, under
+    # -W error, so only a record shows whether the stream lets it through.
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(list(NoiseStream(1, 2, 0.01, 50))) == 1
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert len(forks) == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_stream_validates_its_key_and_grid():

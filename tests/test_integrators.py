@@ -28,7 +28,8 @@ from jobmarket import (
 from jobmarket import brownian
 from jobmarket.brownian import NoiseStream
 from jobmarket.integrators import (_clamp_array, _coupled_terminals, _em_next,
-                                  _milstein_corr, _milstein_next, _stochastic_next)
+                                  _milstein_corr, _milstein_next, _stack_params,
+                                  _stochastic_next)
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
@@ -157,6 +158,18 @@ def test_milstein_equals_em_on_diagonal():
     em, _ = step_em(State(5.0, 5.0), 0.01, 0.07, P_FIG1)
     mil, _ = step_milstein(State(5.0, 5.0), 0.01, 0.07, P_FIG1)
     assert em == mil
+
+
+def test_half_sigma_sq_is_read_only_and_stacked_with_the_same_bits():
+    ps = (P_FIG1, ModelParams(1.0, 100.0, 0.1, 0.2, 0.3), ModelParams(1.0, 1.0, 1.0, 1.0, 0.0))
+    for p in ps:
+        assert p.half_sigma_sq == 0.5 * p.sigma * p.sigma
+        with pytest.raises(AttributeError):
+            p.half_sigma_sq = 1.0
+    stacked = _stack_params(ps)
+    assert stacked.half_sigma_sq.shape == (3, 1)
+    assert (stacked.half_sigma_sq.tobytes()
+            == (0.5 * stacked.sigma * stacked.sigma).tobytes())
 
 
 def test_milstein_hand_example():
