@@ -13,7 +13,7 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
-from .brownian import BrownianPath, coarsen, generate, load_path, save_path
+from .brownian import BrownianPath, coarsen, generate
 from .errors import (
     IntegrationError,
     JobMarketError,
@@ -51,7 +51,7 @@ __all__ = [
     "ModelParams", "State", "Regime", "RegimeReport",
     "drift", "diffusion", "extinction_index", "r0s", "persistence_floor",
     "ultimate_bound", "classify_regime", "interior_equilibrium",
-    "BrownianPath", "generate", "coarsen", "save_path", "load_path",
+    "BrownianPath", "generate", "coarsen",
     "Scheme", "Trajectory", "BatchResult",
     "step_rk4", "step_em", "step_milstein", "simulate", "run_batch",
 ]

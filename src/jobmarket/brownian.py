@@ -25,20 +25,14 @@ import math
 import mmap
 import os
 import signal
-import struct
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["BrownianPath", "NoiseStream", "generate", "coarsen", "save_path", "load_path"]
-
-_MAGIC = b"BPATH1\x00\x00"
-_HEADER = struct.Struct("<8sdIQI")  # magic, dt, n_steps, seed, path_index
-assert _HEADER.size == 32
+__all__ = ["BrownianPath", "NoiseStream", "generate", "coarsen"]
 
 _BLOCK_BYTES = 16_000_000  # noise resident per stream, over every buffer it keeps
 _BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
@@ -268,27 +262,3 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
     merged.flags.writeable = False
     return BrownianPath(dt=path.dt * factor, increments=merged,
                         seed=path.seed, path_index=path.path_index)
-
-
-def save_path(path: BrownianPath, fp: BinaryIO) -> None:
-    """Binary dump: 32-byte header then little-endian float64 increments."""
-    fp.write(_HEADER.pack(_MAGIC, path.dt, path.n_steps, path.seed,
-                          path.path_index))
-    fp.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-
-
-def load_path(fp: BinaryIO) -> BrownianPath:
-    """Read a path written by save_path. Raises ParameterError on bad data."""
-    header = fp.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise ParameterError("truncated path file: short header")
-    magic, dt, n_steps, seed, path_index = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise ParameterError(f"not a Brownian path file (magic {magic!r})")
-    raw = fp.read(8 * n_steps)
-    if len(raw) != 8 * n_steps:
-        raise ParameterError("truncated path file: fewer increments than header claims")
-    increments = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    increments.flags.writeable = False
-    return BrownianPath(dt=dt, increments=increments, seed=seed,
-                        path_index=path_index)

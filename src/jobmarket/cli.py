@@ -138,7 +138,10 @@ def _out_dir(cfg: ScenarioConfig, args) -> Path:
         raise ParameterError("no output directory: set 'outputs' in the config "
                              "or pass --out")
     out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ParameterError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 

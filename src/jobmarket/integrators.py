@@ -484,19 +484,25 @@ def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
         raise ParameterError("initial states must be finite and nonnegative")
 
 
-def _noise_rows(dW, n_paths: int, n_steps: int):
-    """Increment rows from a stream's time-major blocks, or a row-major array's."""
-    blocks = dW
-    if isinstance(dW, np.ndarray) and dW.ndim == 2:
+def _noise_rows(dW, n_paths: int, n_steps: int, dt: float):
+    """The increment rows of a NoiseStream's time-major blocks, or of a
+    row-major (n_paths, >= n_steps) array's columns. The input is checked
+    here, before any draw, so a mismatched stream never forks a producer."""
+    if isinstance(dW, NoiseStream):
+        if (dW.n_paths != n_paths or dW.n_steps < n_steps
+                or abs(dW.dt - dt) > 1e-12 * dt):
+            raise ParameterError(
+                f"noise stream of {dW.n_paths} paths x {dW.n_steps} steps at dt "
+                f"{dW.dt} does not fit {n_paths} paths x {n_steps} steps at dt {dt}")
+        blocks = dW
+    elif (isinstance(dW, np.ndarray) and dW.ndim == 2 and dW.shape[0] == n_paths
+          and dW.shape[1] >= n_steps):
         b = NoiseStream._block_steps(n_paths, n_steps)
         blocks = (np.ascontiguousarray(dW.T[s:s + b]) for s in range(0, n_steps, b))
-    elif isinstance(dW, np.ndarray) or not hasattr(dW, "nbytes"):
-        raise ParameterError(f"dW must be a ({n_paths}, >= {n_steps}) array or a stream with nbytes")
-    for block in blocks:
-        if not isinstance(block, np.ndarray) or block.shape[1:] != (n_paths,):
-            raise ParameterError(f"dW must hold {n_paths} lanes per step, got {np.shape(block)}")
-        yield from block
-    raise ParameterError(f"dW covers fewer than the {n_steps} steps needed")
+    else:
+        raise ParameterError(f"dW must be a NoiseStream or a ({n_paths}, >= {n_steps}) "
+                             f"array, got {getattr(dW, 'shape', type(dW).__name__)}")
+    return (row for block in blocks for row in block)
 
 
 def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
@@ -504,6 +510,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
               dW: np.ndarray | NoiseStream | None, record_stride: int = 1, *,
               outputs: Collection[str] = _OUTPUTS) -> BatchResult:
     """Advance many paths at once; path i uses dW[i], or column i of a stream.
+
+    dW is a NoiseStream of n_paths paths at this dt and at least
+    horizon/dt steps, or a row-major (n_paths, >= horizon/dt) array;
+    other noise raises ParameterError before any draw.
 
     With one ModelParams, u0 and v0 are 1-D arrays of n_paths lanes. With
     a sequence of params sets (cells), they have shape (cells, n_paths):
@@ -555,7 +565,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                 xu[:] = xv[:] = 0.0
 
     if scheme.is_stochastic:
-        noise = _noise_rows(dW, n_paths, n_steps)
+        noise = _noise_rows(dW, n_paths, n_steps, dt)
 
         def step(k, u, v, dB):
             un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, coeffs)
@@ -612,7 +622,7 @@ def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
     dts = np.array([[dt * 2 ** level] for level in range(n)])
     sums = np.empty_like(u)
     done = n  # levels whose group completed on the previous row restart here
-    for k, row in zip(range(1, n_steps + 1), _noise_rows(dW, len(u0), n_steps)):
+    for k, row in zip(range(1, n_steps + 1), _noise_rows(dW, len(u0), n_steps, dt)):
         sums[:done] = row
         sums[done:] += row
         done = min(n, (k & -k).bit_length())  # levels L with 2^L dividing k

@@ -607,6 +607,18 @@ def test_a_failed_forked_ensemble_leaves_no_process_behind(forks):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_failed_forked_strong_order_leaves_no_process_behind(forks):
+    # 256 paths x 4096 fine steps fork a noise producer; every level goes
+    # non-finite on its first step and the coupled pass stops early
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as failure:
+        strong_order(P_HUGE, Scheme.MILSTEIN, HUGE, 1.0, 2.0**-12, 3, 256, 1)
+    assert len(forks) == 1
+    # the traceback, still held here, holds the frames of the failed run
+    assert failure.traceback
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_regime_map_fails_a_cell_that_goes_non_finite():
     kwargs = dict(scheme=Scheme.MILSTEIN, x0=HUGE, horizon=1.0, dt=0.01,
                   n_paths=3, seed=1)

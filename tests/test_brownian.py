@@ -1,6 +1,5 @@
 import contextlib
 import errno
-import io
 import math
 import os
 import signal
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jobmarket import BrownianPath, ParameterError, coarsen, generate, load_path, save_path
+from jobmarket import BrownianPath, ParameterError, coarsen, generate
 from jobmarket import brownian
 from jobmarket.brownian import group_sums
 from jobmarket.brownian import NoiseStream
@@ -159,36 +158,6 @@ def test_coarsen_rejects_bad_factors():
         coarsen(path, 0)
     with pytest.raises(ParameterError):
         coarsen(path, -2)
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-def test_save_load_round_trip_is_bit_exact():
-    path = generate(2**63 + 17, 9, 0.125, 777)
-    buf = io.BytesIO()
-    save_path(path, buf)
-    data = buf.getvalue()
-    assert len(data) == 32 + 8 * 777
-    assert data[:6] == b"BPATH1"
-    loaded = load_path(io.BytesIO(data))
-    assert loaded.dt == path.dt
-    assert loaded.seed == path.seed
-    assert loaded.path_index == path.path_index
-    assert np.array_equal(loaded.increments, path.increments)
-
-
-def test_load_rejects_corrupt_data():
-    path = generate(1, 0, 0.01, 16)
-    buf = io.BytesIO()
-    save_path(path, buf)
-    data = buf.getvalue()
-    with pytest.raises(ParameterError):
-        load_path(io.BytesIO(b"NOTPATH!" + data[8:]))
-    with pytest.raises(ParameterError):
-        load_path(io.BytesIO(data[:40]))  # truncated increments
-    with pytest.raises(ParameterError):
-        load_path(io.BytesIO(data[:16]))  # truncated header
 
 
 def test_group_sums_of_a_time_major_matrix_sums_each_column_alone():

@@ -123,6 +123,14 @@ def test_missing_out_dir_exits_2(tmp_path):
     assert main(["thresholds", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["exists", "not_a_directory"])
+def test_out_dir_blocked_by_a_file_exits_2(tmp_path, capsys, below):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    assert main(["thresholds", "--config", "fig1", "--out", str(existing / below)]) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 

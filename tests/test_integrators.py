@@ -499,7 +499,7 @@ def test_run_batch_rejects_a_nested_list():
 
 
 def test_run_batch_rejects_a_bare_generator():
-    with pytest.raises(ParameterError):  # no nbytes to report
+    with pytest.raises(ParameterError):  # neither a NoiseStream nor an array
         _run_milstein(np.zeros((10, 2)) for _ in range(10))
 
 
@@ -520,6 +520,25 @@ def test_run_batch_rejects_a_block_of_the_wrong_ndim():
         _run_milstein(_Blocks(np.zeros(100)))
     with pytest.raises(ParameterError):
         _run_milstein(_Blocks(np.zeros((100, 2, 1))))
+
+
+@pytest.mark.parametrize("n_paths,dt,n_steps", [
+    (512, 0.02, 4096),  # another dt: sigma scaled by sqrt(2)
+    (513, 0.01, 4096),  # one path too wide
+    (512, 0.01, 4095),  # one step short
+], ids=["dt", "wide", "short"])
+def test_run_batch_rejects_a_mismatched_stream_before_it_forks(forks, n_paths, dt,
+                                                              n_steps):
+    def run(stream):
+        return run_batch(Scheme.MILSTEIN, P_FIG1, np.full(512, 50.0),
+                         np.full(512, 10.0), 40.96, 0.01, stream, record_stride=4096)
+
+    with pytest.raises(ParameterError):
+        run(NoiseStream(1, n_paths, dt, n_steps))
+    assert forks == []
+    # the stream that fits forks its producer, and a longer one is accepted
+    run(NoiseStream(1, 512, 0.01, 4097))
+    assert len(forks) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +741,41 @@ def test_stochastic_next_reports_events_only_when_a_lane_clamps(scheme, u, v, dB
     _assert_events(events, ((ref_u <= -_TINY) & ~_non_finite(ref_u))
                    | ((ref_v <= -_TINY) & ~_non_finite(ref_v)))
     _assert_events(failed, _non_finite(ref_u) | _non_finite(ref_v))
+
+
+_BALANCE_PARAMS = st.builds(ModelParams, r=st.floats(0.05, 2.0), K=st.floats(10.0, 200.0),
+                            m=st.floats(1e-4, 0.5), d=st.floats(0.05, 1.0),
+                            sigma=st.floats(0.0, 0.5))
+
+
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       cells=st.lists(_BALANCE_PARAMS, min_size=1, max_size=3), stacked=st.booleans(),
+       n_paths=st.integers(1, 6), dt=st.floats(1e-4, 0.05), data=st.data())
+def test_stochastic_next_cancels_noise_from_the_total_on_every_free_lane(
+        scheme, cells, stacked, n_paths, dt, data):
+    # the lane-array form of test_stochastic_updates_cancel_noise_from_the_total,
+    # on 1-D lanes and on (cells, n_paths) lanes under stacked params
+    coeffs, shape = cells[0], (n_paths,)
+    if stacked:
+        coeffs, shape = _stack_params(tuple(cells)), (len(cells), n_paths)
+    u = data.draw(arrays(float, shape, elements=st.floats(0.0, 200.0)), label="u")
+    v = data.draw(arrays(float, shape, elements=st.floats(0.0, 200.0)), label="v")
+    dB = data.draw(arrays(float, (n_paths,), elements=st.floats(-1.0, 1.0)), label="dB")
+    un, vn, _, _ = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+    next_ = _em_next if scheme is Scheme.EULER_MARUYAMA else _milstein_next
+    raw_u, raw_v = next_(u, v, dt, dB, coeffs)
+    # the lanes that neither clamp, flush nor fail: the step leaves them as computed
+    free = (raw_u >= _TINY) & (raw_v >= _TINY) & np.isfinite(raw_u) & np.isfinite(raw_v)
+    assert _bits(un[free]) == _bits(raw_u[free]) and _bits(vn[free]) == _bits(raw_v[free])
+    coupling = coeffs.m * u * v
+    du = coeffs.r * u * (1.0 - u / coeffs.K) - coupling
+    dv = coupling - coeffs.d * v
+    noise = coeffs.sigma * u * v * dB
+    balance = dt * (coeffs.r * u * (1.0 - u / coeffs.K) - coeffs.d * v)
+    scale = np.maximum.reduce([u, v, un, vn, np.abs(noise), np.abs(du) * dt,
+                               np.abs(dv) * dt, u + v, np.abs(balance)])
+    error = np.abs((un + vn) - (u + v) - balance)
+    assert np.all(error[free] <= 4.0 * np.spacing(scale[free]))
 
 
 # ---------------------------------------------------------------------------
