@@ -4,7 +4,7 @@ driven by a single multiplicative Brownian noise.
 The package is organised bottom-up:
 
   model        parameters, vector fields, closed-form regime thresholds
-  brownian     reproducible keyed Brownian increment streams, coarsening
+  brownian     reproducible keyed Brownian increment streams
   integrators  RK4 / Euler-Maruyama / Milstein stepping and trajectories
   analysis     ensembles, time averages, extinction detection,
                strong-convergence orders, (m, sigma) regime maps
@@ -13,7 +13,7 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
-from .brownian import BrownianPath, coarsen, generate
+from .brownian import BrownianPath, generate
 from .errors import (
     IntegrationError,
     JobMarketError,
@@ -51,7 +51,7 @@ __all__ = [
     "ModelParams", "State", "Regime", "RegimeReport",
     "drift", "diffusion", "extinction_index", "r0s", "persistence_floor",
     "ultimate_bound", "classify_regime", "interior_equilibrium",
-    "BrownianPath", "generate", "coarsen",
+    "BrownianPath", "generate",
     "Scheme", "Trajectory", "BatchResult",
     "step_rk4", "step_em", "step_milstein", "simulate", "run_batch",
 ]

@@ -1,4 +1,4 @@
-"""Reproducible Brownian increment streams and path coarsening.
+"""Reproducible Brownian increment streams.
 
 Each path is an i.i.d. N(0, dt) increment sequence drawn from a stream
 keyed by (seed, path_index) through numpy's SeedSequence, which mixes the
@@ -11,10 +11,6 @@ while the caller steps through the current one.
 The sampling algorithm is pinned per release: PCG64 driven standard
 normals (numpy's ziggurat) scaled by sqrt(dt). Regenerating with the same
 (seed, path_index, dt, n_steps) is bit-identical, also through a NoiseStream.
-
-Coarsening sums consecutive increments in fixed left-to-right order; it is
-the device that lets one fine path drive several step sizes in coupled
-strong-convergence experiments.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["BrownianPath", "NoiseStream", "generate", "coarsen"]
+__all__ = ["BrownianPath", "NoiseStream", "generate"]
 
 _BLOCK_BYTES = 16_000_000  # noise resident per stream, over every buffer it keeps
 _BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
@@ -43,9 +39,8 @@ _FORK_MIN = 2**20  # paths x steps from which a producer process pays back its f
 class BrownianPath:
     """An increment sequence with fixed step size and seed provenance.
 
-    The cumulative sum of ``increments`` defines B with B(0) = 0. For a
-    coarsened path, (seed, path_index) identify the underlying fine
-    stream; only freshly generated paths regenerate from their key.
+    The cumulative sum of ``increments`` defines B with B(0) = 0, and
+    (seed, path_index) is the key it regenerates from.
     """
 
     dt: float
@@ -245,20 +240,3 @@ def group_sums(increments: np.ndarray, factor: int) -> np.ndarray:
         acc += grouped[:, j]
     return acc
 
-
-def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
-    """Merge every ``factor`` consecutive increments into one.
-
-    The result has step factor*dt and the same total displacement; its
-    cumulative path interpolates the fine one at shared grid times (up to
-    the reassociation of floating-point addition, which the fixed
-    summation order keeps reproducible). factor = 1 is a permitted no-op.
-    """
-    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
-        raise ParameterError(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return path
-    merged = group_sums(path.increments, factor)
-    merged.flags.writeable = False
-    return BrownianPath(dt=path.dt * factor, increments=merged,
-                        seed=path.seed, path_index=path.path_index)

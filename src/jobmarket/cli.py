@@ -5,8 +5,9 @@ is driven by a JSON scenario config (strict schema, unknown keys are
 errors) and writes CSV/JSON artifacts into the output directory. With a
 fixed config and seed the output files are byte-identical across runs.
 
-Exit codes: 0 success, 2 config or argument error, 3 domain error (the
-stochastic thresholds are undefined at sigma = 0), 4 numerical failure.
+Exit codes: 0 success, 2 config or argument error (an output that cannot
+be written included), 3 domain error (the stochastic thresholds are
+undefined at sigma = 0), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from . import __version__, analysis, brownian, scenarios
 from .errors import IntegrationError, ParameterError, ZeroNoiseError
-from .integrators import Scheme, _check_stride, _resolve_steps, simulate
-from .model import ModelParams, State, classify_regime
+from .integrators import Scheme, _check_initial, _check_stride, _resolve_steps, simulate
+from .model import ModelParams, State, _as_finite_float, classify_regime
 
 _CONFIG_KEYS = {"params", "x0", "horizon", "dt", "scheme", "n_paths", "seed",
                 "record_stride", "outputs"}
@@ -45,18 +46,9 @@ class ScenarioConfig:
     outputs: str | None = None
 
 
-def _require_number(data: dict, key: str, integer: bool = False):
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"config field {key!r} must be a number, got {value!r}")
-    if integer:
-        if not isinstance(value, int):
-            raise ParameterError(f"config field {key!r} must be an integer, got {value!r}")
-        return value
-    return float(value)
-
-
 def parse_config(data: dict) -> ScenarioConfig:
+    """Check a config's format, then each value with the rule the run itself
+    applies, taken from the function that applies it."""
     if not isinstance(data, dict):
         raise ParameterError("config must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
@@ -70,36 +62,24 @@ def parse_config(data: dict) -> ScenarioConfig:
     x0_raw = data["x0"]
     if not isinstance(x0_raw, dict) or set(x0_raw) != {"u", "v"}:
         raise ParameterError("config field 'x0' must be an object with keys u, v")
-    x0 = State(_require_number(x0_raw, "u"), _require_number(x0_raw, "v"))
-    if x0.u < 0.0 or x0.v < 0.0:
-        raise ParameterError(f"x0 must be nonnegative, got {tuple(x0)}")
+    x0 = State(_as_finite_float("x0.u", x0_raw["u"]),
+               _as_finite_float("x0.v", x0_raw["v"]))
+    _check_initial(*x0)
 
-    horizon = _require_number(data, "horizon")
-    dt = _require_number(data, "dt")
-    scheme_name = data["scheme"]
-    if not isinstance(scheme_name, str):
-        raise ParameterError(f"config field 'scheme' must be a string, got {scheme_name!r}")
-    scheme = Scheme.parse(scheme_name)
-
+    horizon = _as_finite_float("horizon", data["horizon"])
+    dt = _as_finite_float("dt", data["dt"])
+    scheme = Scheme.parse(data["scheme"])
     n_paths = data.get("n_paths", DEFAULT_N_PATHS)
-    if "n_paths" in data:
-        n_paths = _require_number(data, "n_paths", integer=True)
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     seed = data.get("seed", DEFAULT_SEED)
-    if "seed" in data:
-        seed = _require_number(data, "seed", integer=True)
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must fit in 64 bits, got {seed}")
     record_stride = data.get("record_stride", 1)
-    if "record_stride" in data:
-        record_stride = _require_number(data, "record_stride", integer=True)
     outputs = data.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ParameterError(f"config field 'outputs' must be a string, got {outputs!r}")
 
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
+    # checks seed and n_paths as every noisy run does; draws nothing until iterated
+    brownian.NoiseStream(seed, n_paths, dt, n_steps)
 
     return ScenarioConfig(params=params, x0=x0, horizon=horizon, dt=dt,
                           scheme=scheme, n_paths=n_paths, seed=seed,
@@ -145,10 +125,14 @@ def _out_dir(cfg: ScenarioConfig, args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
+def _write(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write one artifact through write(fp); a path that cannot be written
+    is an argument error, like an output directory that cannot be made."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fp:
+            write(fp)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _say(args, message: str) -> None:
@@ -160,12 +144,9 @@ def _say(args, message: str) -> None:
 # subcommand handlers
 
 def _cmd_thresholds(cfg: ScenarioConfig, args) -> int:
-    report = classify_regime(cfg.params)
-    payload = report.to_dict()
-    out = _out_dir(cfg, args)
-    _write_json(out / "thresholds.json", payload)
-    if not args.quiet:
-        print(json.dumps(payload, indent=2))
+    text = json.dumps(classify_regime(cfg.params).to_dict(), indent=2)
+    _write(_out_dir(cfg, args) / "thresholds.json", lambda fp: fp.write(text + "\n"))
+    _say(args, text)
     return 0
 
 
@@ -179,10 +160,8 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
         path = brownian.generate(cfg.seed, 0, cfg.dt, n_steps)
         stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon,
                               cfg.dt, path=path, record_stride=cfg.record_stride)
-    with open(out / "stochastic.csv", "w", encoding="utf-8", newline="\n") as fp:
-        stochastic.to_csv(fp)
-    with open(out / "deterministic.csv", "w", encoding="utf-8", newline="\n") as fp:
-        deterministic.to_csv(fp)
+    _write(out / "stochastic.csv", stochastic.to_csv)
+    _write(out / "deterministic.csv", deterministic.to_csv)
     _say(args, f"wrote {out / 'stochastic.csv'} and {out / 'deterministic.csv'} "
                f"({stochastic.clamp_count} clamps)")
     return 0
@@ -193,8 +172,7 @@ def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
     stats = analysis.ensemble(cfg.params, cfg.scheme, cfg.x0, cfg.horizon,
                               cfg.dt, cfg.n_paths, cfg.seed,
                               record_stride=cfg.record_stride)
-    with open(out / "ensemble.csv", "w", encoding="utf-8", newline="\n") as fp:
-        stats.to_csv(fp)
+    _write(out / "ensemble.csv", stats.to_csv)
     _say(args, f"wrote {out / 'ensemble.csv'} ({stats.n_paths} paths, "
                f"clamp rate {stats.clamp_rate!r})")
     return 0
@@ -206,7 +184,8 @@ def _cmd_convergence(cfg: ScenarioConfig, args) -> int:
                                    cfg.horizon, dt_fine=cfg.dt,
                                    levels=args.levels, n_paths=cfg.n_paths,
                                    seed=cfg.seed)
-    _write_json(out / "convergence.json", report.to_dict())
+    text = json.dumps(report.to_dict(), indent=2)
+    _write(out / "convergence.json", lambda fp: fp.write(text + "\n"))
     _say(args, f"wrote {out / 'convergence.json'} (slope {report.slope!r}, "
                f"residual {report.residual!r})")
     return 0
@@ -230,12 +209,13 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
                                 scheme=cfg.scheme, x0=cfg.x0,
                                 horizon=cfg.horizon, dt=cfg.dt,
                                 n_paths=cfg.n_paths, seed=cfg.seed)
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fp:
-        analysis.regime_cells_to_csv(cells, fp)
+    _write(out / "sweep.csv", lambda fp: analysis.regime_cells_to_csv(cells, fp))
     failed = sum(1 for c in cells if c.error is not None)
     _say(args, f"wrote {out / 'sweep.csv'} ({len(cells)} cells, {failed} failed)")
     return 0
 
+
+_EXIT_CODES = {ParameterError: 2, ZeroNoiseError: 3, IntegrationError: 4}
 
 _HANDLERS = {
     "thresholds": _cmd_thresholds,
@@ -293,15 +273,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides = {"seed": args.seed, "n_paths": args.paths}
         cfg = load_config(args.config, {k: x for k, x in overrides.items() if x is not None})
         return _HANDLERS[args.command](cfg, args)
-    except ParameterError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroNoiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -239,7 +239,10 @@ def _resolve_steps(horizon: float, dt: float) -> int:
         raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
     if not (isinstance(horizon, (int, float)) and horizon > 0.0 and np.isfinite(horizon)):
         raise ParameterError(f"horizon must be a positive finite number, got {horizon!r}")
-    n_steps = round(horizon / dt)
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ParameterError(f"horizon {horizon} / dt {dt} is not a finite step count")
+    n_steps = round(ratio)
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ParameterError(
             f"horizon {horizon} is not a positive integer multiple of dt {dt}"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jobmarket import BrownianPath, ParameterError, coarsen, generate
+from jobmarket import BrownianPath, ParameterError, generate
 from jobmarket import brownian
 from jobmarket.brownian import group_sums
 from jobmarket.brownian import NoiseStream
@@ -88,47 +88,43 @@ def test_paths_are_uncorrelated():
 # ---------------------------------------------------------------------------
 # coarsening
 
-def test_coarsen_identity_factor_is_noop():
-    path = generate(1, 0, 0.5, 8)
-    assert coarsen(path, 1) is path
-
-
 def test_coarsen_hand_example():
     # eight increments of 0.1, factor 4: two increments, each the
     # left-to-right sum 0.1+0.1+0.1+0.1 (which lands exactly on 0.4)
     path = BrownianPath(dt=0.25, increments=np.full(8, 0.1), seed=1, path_index=0)
-    out = coarsen(path, 4)
-    assert out.n_steps == 2
-    assert out.dt == 1.0
+    out = group_sums(path.increments, 4)
+    assert out.shape == (2,)
     expected = ((0.1 + 0.1) + 0.1) + 0.1
-    assert out.increments[0] == expected
-    assert out.increments[1] == expected
+    assert out[0] == expected
+    assert out[1] == expected
     assert expected == 0.4
 
 
 def test_coarsen_group_sums_are_left_to_right_bitwise():
     path = generate(9, 3, 0.001, 4096)
     for factor in (2, 4, 64, 512):
-        out = coarsen(path, factor)
+        out = group_sums(path.increments, factor)
         fine = path.increments
-        for k in range(0, out.n_steps, max(1, out.n_steps // 16)):
+        assert out.shape == (4096 // factor,)
+        for k in range(0, len(out), max(1, len(out) // 16)):
             acc = float(fine[k * factor])
             for j in range(1, factor):
                 acc += float(fine[k * factor + j])
-            assert out.increments[k] == acc
-        assert out.dt == path.dt * factor
+            assert out[k] == acc
 
 
 def test_coarsen_total_displacement_matches_grouped_sum():
     path = generate(11, 0, 0.01, 1024)
-    out = coarsen(path, 8)
+    out = group_sums(path.increments, 8)
     # identical float additions in the grouped order on both sides
-    regrouped = group_sums(path.increments, 8)
-    total_coarse = float(out.increments[0])
-    total_fine_grouped = float(regrouped[0])
-    for k in range(1, out.n_steps):
-        total_coarse += float(out.increments[k])
-        total_fine_grouped += float(regrouped[k])
+    fine = [float(x) for x in path.increments]
+    total_coarse = total_fine_grouped = 0.0
+    for k in range(len(out)):
+        group = fine[8 * k]
+        for j in range(1, 8):
+            group += fine[8 * k + j]
+        total_coarse += float(out[k])
+        total_fine_grouped += group
     assert total_coarse == total_fine_grouped
     assert total_coarse == pytest.approx(float(np.sum(path.increments)), rel=1e-12, abs=1e-12)
 
@@ -136,9 +132,9 @@ def test_coarsen_total_displacement_matches_grouped_sum():
 def test_coarsen_cumulative_interpolates_fine_path():
     path = generate(123, 0, 0.01, 2**16)
     for factor in (2, 16, 256):
-        coarse = coarsen(path, factor)
+        coarse = group_sums(path.increments, factor)
         fine_B = np.cumsum(path.increments)[factor - 1::factor]
-        coarse_B = np.cumsum(coarse.increments)
+        coarse_B = np.cumsum(coarse)
         # same real numbers, reassociated float additions: agreement to
         # accumulated rounding, far below any increment's size
         assert np.max(np.abs(fine_B - coarse_B)) <= 1e-10
@@ -146,18 +142,8 @@ def test_coarsen_cumulative_interpolates_fine_path():
 
 def test_coarsen_preserves_variance_scale():
     path = generate(5, 0, 0.01, 2**15)
-    coarse = coarsen(path, 16)
-    assert abs(coarse.increments.var() - 0.16) <= 0.02
-
-
-def test_coarsen_rejects_bad_factors():
-    path = generate(1, 0, 0.01, 12)
-    with pytest.raises(ParameterError):
-        coarsen(path, 5)  # 5 does not divide 12
-    with pytest.raises(ParameterError):
-        coarsen(path, 0)
-    with pytest.raises(ParameterError):
-        coarsen(path, -2)
+    coarse = group_sums(path.increments, 16)
+    assert abs(coarse.var() - 0.16) <= 0.02
 
 
 def test_group_sums_of_a_time_major_matrix_sums_each_column_alone():

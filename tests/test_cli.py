@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import shutil
 import subprocess
@@ -62,6 +63,14 @@ def test_parse_config_defaults_and_values():
     {"x0": {"u": 1.0, "v": 1.0, "w": 0.0}},
     {"params": {"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2}},
     {"params": {"r": 0.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.1}},
+    {"dt": 1e-320},                       # horizon / dt overflows to inf
+    {"horizon": 1e300, "dt": 1e-10},
+    {"x0": {"u": float("nan"), "v": 1.0}},
+    {"x0": {"u": float("inf"), "v": 1.0}},
+    {"dt": True, "horizon": 10.0},        # 10 steps: the stride would divide them
+    {"seed": True},
+    {"n_paths": True},
+    {"record_stride": True},
 ])
 def test_parse_config_rejects_bad_input(overrides):
     from jobmarket import ParameterError
@@ -131,6 +140,16 @@ def test_out_dir_blocked_by_a_file_exits_2(tmp_path, capsys, below):
     assert "error: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,artifact", [("thresholds", "thresholds.json"),
+                                              ("ensemble", "ensemble.csv")])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, command, artifact):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)  # a directory where the file goes
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -142,6 +161,21 @@ def test_thresholds_writes_report(tmp_path, capsys):
     assert abs(payload["extinction_index"] + 0.19994) < 1e-5
     printed = json.loads(capsys.readouterr().out)
     assert printed == payload
+
+
+def test_thresholds_fig1_bytes_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["thresholds", "--config", "fig1", "--out", str(out), "--quiet"]) == 0
+    assert (out / "thresholds.json").read_bytes() == (
+        b'{\n'
+        b'  "extinction_index": -0.1999382716049383,\n'
+        b'  "r0s": -197.5,\n'
+        b'  "m_minus_r_over_K": -0.009000000000000001,\n'
+        b'  "persistence_floor": null,\n'
+        b'  "ultimate_bound": 500.0,\n'
+        b'  "classification": "extinction",\n'
+        b'  "threshold_conflict": false\n'
+        b'}\n')
 
 
 def test_thresholds_fig2_reports_persistence(tmp_path):
@@ -177,6 +211,20 @@ def test_simulate_writes_both_csvs_on_same_grid(tmp_path):
     det_t = [line.split(",")[0] for line in det[1:]]
     assert stoch_t == det_t
     assert all(line.split(",")[3] == "0" for line in det[1:])
+
+
+def test_simulate_fig1_bytes_are_pinned(tmp_path):
+    # fig1 over 200 steps: Python-float stepping and the pinned sampler only
+    cfg = write_config(tmp_path, params={"r": 1.0, "K": 100.0, "m": 0.001,
+                                         "d": 0.2, "sigma": 0.09})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("stochastic.csv", "deterministic.csv")}
+    assert digests == {
+        "stochastic.csv": "f2ccd23a58c47bde613cd5e8bfb3b98456bbfb625742932f8812d2811273a4bb",
+        "deterministic.csv": "3fc1ce87571daa336ec97005016da8ec9d8a138707ef7fce673acf4161e127a1",
+    }
 
 
 def test_simulate_fig1_drives_labour_force_to_zero(tmp_path):
