@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import math
 import mmap
 import os
@@ -90,16 +91,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray):
+def _shared_flags(n: int) -> np.ndarray:
+    """n False bytes in an anonymous shared mapping: a producer forked later
+    reads what the caller writes there."""
+    return np.frombuffer(mmap.mmap(-1, n), dtype=bool)
+
+
+def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray,
+            settled: np.ndarray | None = None):
     """The pinned sampler: each view of the (len(paths), block) buffer rows
     holds, in row j, the next standard normals of stream (seed, paths[j]);
-    callers scale them by sqrt(dt)."""
+    callers scale them by sqrt(dt). A row j whose settled flag is set when
+    its block starts is not drawn: it keeps its last values (zeros in the
+    first block), and stream paths[j] is never drawn from again, so flags
+    may only ever be set."""
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in paths]
     block = rows.shape[1]
     for start in range(0, n_steps, block):
         view = rows[:, :min(block, n_steps - start)]
-        for rng, row in zip(rngs, view):
-            rng.standard_normal(out=row)
+        skip = itertools.repeat(False) if settled is None else settled.tolist()
+        for rng, row, done in zip(rngs, view, skip):
+            if not done:
+                rng.standard_normal(out=row)
         yield view
 
 
@@ -212,8 +225,15 @@ class NoiseStream:
         return max(1, min(n_steps, _BLOCK_STEPS, _BLOCK_BYTES // (8 * buffers * n_paths)))
 
     def __iter__(self):
+        return self._iter(None)
+
+    def _iter(self, settled: np.ndarray | None):
+        """The blocks, skipping the draws of each path whose byte in settled
+        (from _shared_flags) is set when its block is drawn: that path's
+        columns then hold stale finite values. A forked producer may draw a
+        block while the caller still steps the block two before it."""
         draws = _blocks(self.seed, range(self.n_paths), self.n_steps,
-                        _mapped(self.n_paths, self.block))
+                        _mapped(self.n_paths, self.block), settled)
         scale = math.sqrt(self.dt)
         if self._forks:
             slots = _mapped(2 * self.block, self.n_paths).reshape(2, self.block, self.n_paths)

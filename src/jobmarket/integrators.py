@@ -40,6 +40,7 @@ from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
+from . import brownian
 from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
@@ -62,6 +63,10 @@ _TINY = sys.float_info.min
 _RK4_CLAMP_REL = 1e-12
 
 _NON_FINITE = "state went non-finite at t={t}"
+
+# settled lanes from which _Lanes splits its step: below about a thousand,
+# its gathers, scatters and copies cost more than the steps it saves
+_SPLIT_MIN = 1000
 
 # the per-path accumulators a run_batch caller may ask for
 _OUTPUTS = frozenset({"integral_u", "integral_v", "max_total"})
@@ -104,6 +109,12 @@ def _milstein_next(u, v, dt, dB, p: ModelParams):
     un, vn = _em_next(u, v, dt, dB, p)
     corr = _milstein_corr(u, v, dt, dB, p)
     return un + corr, vn - corr
+
+
+def _logistic_next(u, dt, p: ModelParams):
+    """The u update of either stochastic scheme at v == 0, where it has no
+    noise term: the same operations in the same order."""
+    return u + p.r * u * (1.0 - u / p.K) * dt
 
 
 def _rk4_next(u, v, dt, p: ModelParams):
@@ -243,6 +254,9 @@ def _resolve_steps(horizon: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise ParameterError(f"horizon {horizon} / dt {dt} is not a finite step count")
     n_steps = round(ratio)
+    if n_steps > np.iinfo(np.intp).max:
+        raise ParameterError(f"horizon {horizon} / dt {dt} is {n_steps} steps, "
+                             "more than an array can index")
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ParameterError(
             f"horizon {horizon} is not a positive integer multiple of dt {dt}"
@@ -487,17 +501,117 @@ def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
         raise ParameterError("initial states must be finite and nonnegative")
 
 
-def _noise_rows(dW, n_paths: int, n_steps: int, dt: float):
+def _settle_cap(p: ModelParams, dt: float) -> float:
+    """The largest u at which a lane with v == 0 counts as settled, or -1.0.
+
+    The logistic update lowers any u above K and keeps [0, K] below
+    K * (1 + r*dt)^2 / (4*r*dt) (K when r*dt < 1), so a settled lane's u
+    never exceeds twice that peak. Up to it m*u, sigma*u and
+    half_sigma_sq*u stay finite, and so does dB*dB: sampled normals stay
+    below 14 in magnitude. Every term the schemes multiply by v is then
+    +-0 when v is.
+    """
+    peak = 2.0 * max(p.K, p.K * (1.0 + p.r * dt) * (1.0 + p.r * dt) / (4.0 * p.r * dt))
+    if math.isfinite(peak * max(p.m, p.sigma, p.half_sigma_sq) + 200.0 * dt):
+        return peak
+    return -1.0
+
+
+def _spread(mask: np.ndarray | None, lanes: np.ndarray, n: int) -> np.ndarray | None:
+    """A lane mask over the gathered lanes as one over all n lanes."""
+    if mask is None:
+        return None
+    full = np.zeros(n, dtype=bool)
+    full[lanes] = mask
+    return full
+
+
+class _Lanes:
+    """The lane classes of a single-cell run_batch driven by a NoiseStream,
+    recomputed at each noise block boundary.
+
+    A lane is settled once v == 0 with u at most _settle_cap: from there
+    every noise and Milstein term of either scheme is +-0, so its step is
+    the clamped logistic update of u with v = +0.0, bit for bit, and it
+    stays settled. A settled lane is frozen when that update maps u to
+    itself (u == 0, u == K, or u so near K that the increment rounds
+    away); it never changes again. The other lanes are live.
+
+    settled is shared with the stream's drawer, which stops drawing a
+    settled path's increments from its next block on. From _SPLIT_MIN
+    settled lanes on, or once every lane is frozen, step() gathers the live
+    lanes and steps them with the scheme, steps the settled lanes that
+    still move with the logistic update, and leaves frozen lanes alone.
+    Below that it steps every lane with the scheme, which multiplies the
+    stale noise of settled paths by zero.
+    """
+
+    def __init__(self, scheme: Scheme, p: ModelParams, dt: float, block: int,
+                 u: np.ndarray, v: np.ndarray):
+        self.scheme, self.p, self.dt, self.block = scheme, p, dt, block
+        self.cap = _settle_cap(p, dt)
+        self.settled = brownian._shared_flags(u.size)
+        self.rest = np.zeros(u.size)  # v of every settled lane after a step
+        self.split: tuple[np.ndarray, np.ndarray] | None = None
+        self.classify(u, v)
+
+    def classify(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Settle the lanes of state (u, v) and pick the next block's step."""
+        settled = self.settled
+        settled |= (v == 0.0) & (u <= self.cap)
+        n = np.count_nonzero(settled)
+        self.split = None
+        if n < _SPLIT_MIN and n < settled.size:
+            return
+        lanes = np.flatnonzero(settled)
+        us = u[lanes]
+        nxt = _logistic_next(us, self.dt, self.p)
+        # bits, so that a -0.0 is not frozen where the clamp writes +0.0
+        moves = np.where(nxt >= _TINY, nxt, 0.0).view(np.int64) != us.view(np.int64)
+        if n >= _SPLIT_MIN or not moves.any():
+            self.split = np.flatnonzero(~settled), lanes[moves]
+
+    def step(self, k: int, u: np.ndarray, v: np.ndarray, dB: np.ndarray):
+        """_stochastic_next of every lane for step k, computed by class; the
+        last step of a block classifies the lanes for the next one."""
+        out = self._next(u, v, dB)
+        if k % self.block == 0:
+            self.classify(out[0], out[1])
+        return out
+
+    def _next(self, u, v, dB):
+        if self.split is None:
+            return _stochastic_next(self.scheme, u, v, self.dt, dB, self.p)
+        live, moving = self.split
+        if not (live.size or moving.size):
+            return u, self.rest, None, None
+        un, vn, n = u.copy(), self.rest.copy(), u.size
+        events = failed = None
+        if live.size:
+            un[live], vn[live], events, failed = _stochastic_next(
+                self.scheme, u[live], v[live], self.dt, dB[live], self.p)
+            events, failed = _spread(events, live, n), _spread(failed, live, n)
+        if moving.size:
+            un[moving], ev, bad = _clamp_array(_logistic_next(u[moving], self.dt, self.p))
+            events = _union(events, _spread(ev, moving, n))
+            failed = _union(failed, _spread(bad, moving, n))
+        return un, vn, events, failed
+
+
+def _noise_rows(dW, n_paths: int, n_steps: int, dt: float,
+                settled: np.ndarray | None = None):
     """The increment rows of a NoiseStream's time-major blocks, or of a
     row-major (n_paths, >= n_steps) array's columns. The input is checked
-    here, before any draw, so a mismatched stream never forks a producer."""
+    here, before any draw, so a mismatched stream never forks a producer.
+    A stream skips the draws of the paths flagged in settled (see
+    NoiseStream._iter)."""
     if isinstance(dW, NoiseStream):
         if (dW.n_paths != n_paths or dW.n_steps < n_steps
                 or abs(dW.dt - dt) > 1e-12 * dt):
             raise ParameterError(
                 f"noise stream of {dW.n_paths} paths x {dW.n_steps} steps at dt "
                 f"{dW.dt} does not fit {n_paths} paths x {n_steps} steps at dt {dt}")
-        blocks = dW
+        blocks = dW._iter(settled)
     elif (isinstance(dW, np.ndarray) and dW.ndim == 2 and dW.shape[0] == n_paths
           and dW.shape[1] >= n_steps):
         b = NoiseStream._block_steps(n_paths, n_steps)
@@ -530,9 +644,11 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
 
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
-    batch. A failing single-cell run raises IntegrationError; a multi-cell
-    run records in errors what a run of the failed row alone would raise,
-    parks the row at (0, 0) and runs the other rows on.
+    batch. A single-cell run on a NoiseStream neither draws nor steps with
+    the scheme the lanes whose labour force has died out (see _Lanes), with
+    the same bits. A failing single-cell run raises IntegrationError; a
+    multi-cell run records in errors what a run of the failed row alone
+    would raise, parks the row at (0, 0) and runs the other rows on.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
@@ -547,10 +663,11 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     else:
         p = tuple(p)
         coeffs, cells = _stack_params(p), (len(p),)
-    if u.shape != v.shape or u.ndim != len(cells) + 1 or u.shape[:-1] != cells:
-        raise ParameterError("u0 and v0 must be 1-D arrays of equal length, "
-                             "or of shape (cells, n_paths) for a sequence "
-                             "of params")
+    if (u.shape != v.shape or u.ndim != len(cells) + 1 or u.shape[:-1] != cells
+            or u.shape[-1] == 0):
+        raise ParameterError("u0 and v0 must be 1-D arrays of equal, nonzero "
+                             "length, or of shape (cells, n_paths >= 1) for a "
+                             "sequence of params")
     _check_initial(u, v)
     n_paths = u.shape[-1]
     errors: list[str | None] = [None] * (cells[0] if cells else 1)
@@ -568,10 +685,18 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                 xu[:] = xv[:] = 0.0
 
     if scheme.is_stochastic:
-        noise = _noise_rows(dW, n_paths, n_steps, dt)
+        # multi-cell runs keep the plain step, and so do user matrices: an
+        # inf or NaN increment on a settled lane must still fail the run
+        lanes = (_Lanes(scheme, coeffs, dt, dW.block, u, v)
+                 if not cells and isinstance(dW, NoiseStream) else None)
+        noise = _noise_rows(dW, n_paths, n_steps, dt,
+                            None if lanes is None else lanes.settled)
 
         def step(k, u, v, dB):
-            un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+            if lanes is None:
+                un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+            else:
+                un, vn, events, failed = lanes.step(k, u, v, dB)
             if failed is not None:
                 fail(k, failed, failed, un, vn, _NON_FINITE)
             return un, vn, events

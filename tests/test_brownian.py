@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import math
+import mmap
 import os
 import signal
 import threading
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jobmarket import BrownianPath, ParameterError, generate
-from jobmarket import brownian
+from jobmarket import (BrownianPath, ModelParams, ParameterError, Scheme, generate,
+                       run_batch)
+from jobmarket import brownian, integrators
 from jobmarket.brownian import group_sums
 from jobmarket.brownian import NoiseStream
 
@@ -324,6 +326,56 @@ def test_forking_a_multithreaded_process_warns_nothing(monkeypatch, forks):
     assert not thread.is_alive()
     assert len(forks) == 1
     assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# a settling run_batch skips the draws of its settled paths, privately
+
+P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in_process"])
+def test_a_stream_consumed_by_a_settling_run_still_equals_generate(monkeypatch,
+                                                                  forks, cpus):
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 5)
+    monkeypatch.setattr(integrators, "_SPLIT_MIN", 1)
+    stream = NoiseStream(11, 4, 0.01, 40)
+    run_batch(Scheme.MILSTEIN, P_FIG1, np.array([50.0, 100.0, 30.0, 0.0]),
+              np.array([10.0, 0.0, 0.0, -0.0]), 0.4, 0.01, stream)
+    stacked = np.concatenate([block.copy() for block in stream])
+    for i in range(4):
+        assert stacked[:, i].tobytes() == generate(11, i, 0.01, 40).increments.tobytes()
+    assert len(forks) == (2 if cpus == 2 else 0)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in_process"])
+def test_an_all_frozen_run_draws_nothing_after_its_first_two_blocks(monkeypatch,
+                                                                   forks, cpus):
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 10)
+    draws = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)  # a forked producer counts here
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, out):
+            draws[0] += 1
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    n = 8
+    # (K, 0) is a fixed point: every lane is frozen, over 20 blocks
+    result = run_batch(Scheme.MILSTEIN, P_FIG1, np.full(n, 100.0), np.zeros(n),
+                       2.0, 0.01, NoiseStream(3, n, 0.01, 200))
+    assert np.all(result.U == 100.0) and np.all(result.V == 0.0)
+    # a forked producer may draw block 1 before the engine writes the mask
+    assert draws[0] <= 2 * n
+    assert len(forks) == (1 if cpus == 2 else 0)
 
 
 def test_stream_validates_its_key_and_grid():

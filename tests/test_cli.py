@@ -65,6 +65,7 @@ def test_parse_config_defaults_and_values():
     {"params": {"r": 0.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.1}},
     {"dt": 1e-320},                       # horizon / dt overflows to inf
     {"horizon": 1e300, "dt": 1e-10},
+    {"horizon": 1e300, "dt": 1e-5},       # a finite step count no array can index
     {"x0": {"u": float("nan"), "v": 1.0}},
     {"x0": {"u": float("inf"), "v": 1.0}},
     {"dt": True, "horizon": 10.0},        # 10 steps: the stride would divide them
@@ -138,6 +139,16 @@ def test_out_dir_blocked_by_a_file_exits_2(tmp_path, capsys, below):
     existing.write_text("")
     assert main(["thresholds", "--config", "fig1", "--out", str(existing / below)]) == 2
     assert "error: cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["thresholds", "simulate", "ensemble",
+                                     "convergence", "sweep"])
+def test_a_step_count_no_array_can_index_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, horizon=1e300, dt=1e-5, record_stride=None)
+    grids = ["--m-grid", "0.1", "--sigma-grid", "0.1"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet",
+                 *grids]) == 2
+    assert capsys.readouterr().err.startswith("error: horizon 1e+300 / dt 1e-05 is ")
 
 
 @pytest.mark.parametrize("command,artifact", [("thresholds", "thresholds.json"),
@@ -274,6 +285,18 @@ def test_ensemble_reruns_are_byte_identical(tmp_path):
     assert main(["ensemble", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
     assert main(["ensemble", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
+
+
+def test_ensemble_fig1_bytes_are_pinned(tmp_path):
+    # 1200 paths to t = 30: a forked producer where two CPUs are usable, and
+    # over a thousand lanes extinct by the last noise blocks
+    cfg = write_config(tmp_path, params={"r": 1.0, "K": 100.0, "m": 0.001,
+                                         "d": 0.2, "sigma": 0.09},
+                       n_paths=1200, horizon=30.0, record_stride=50)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256((out / "ensemble.csv").read_bytes()).hexdigest() == (
+        "96dd9311d0c2a4094ffc208fc173aa74171b2b0aa358f6e26eea4db47f39a136")
 
 
 def test_seed_override_changes_output(tmp_path):

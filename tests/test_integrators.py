@@ -25,7 +25,7 @@ from jobmarket import (
     step_milstein,
     step_rk4,
 )
-from jobmarket import brownian
+from jobmarket import brownian, integrators
 from jobmarket.brownian import NoiseStream
 from jobmarket.integrators import (_clamp_array, _coupled_terminals, _em_next,
                                   _milstein_corr, _milstein_next, _stack_params,
@@ -369,6 +369,9 @@ def test_batch_validates_shapes():
     with pytest.raises(ParameterError):
         run_batch(Scheme.RK4, P_FIG1, np.array([1.0]), np.array([1.0]),
                   1.0, 0.01, np.zeros((1, 100)))  # rk4 takes no increments
+    for dW in (NoiseStream(1, 1, 0.01, 100), np.zeros((0, 100))):  # no lanes
+        with pytest.raises(ParameterError):
+            run_batch(Scheme.MILSTEIN, P_FIG1, np.zeros(0), np.zeros(0), 1.0, 0.01, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -953,3 +956,102 @@ def test_only_failed_rows_leave_the_quadrant(monkeypatch, scheme, cells, x0s, dt
             assert failures == []
         else:
             assert float(re.search(r" at t=([^ ;]+)", error)[1]) == min(failures)
+
+
+# ---------------------------------------------------------------------------
+# settled lanes: a stream-driven run that splits its lanes by class has the
+# bits of the plain step on the row-major matrix of the same increments
+
+# "K" starts a frozen lane at (K, 0)
+_SETTLING_X0 = (st.tuples(st.floats(0.0, 100.0),
+                          st.floats(0.0, 100.0) | st.sampled_from([0.0, -0.0]))
+                | st.sampled_from(["K", (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),
+                                   (30.0, -0.0)]))
+# lanes that fail: on the first step, a few steps in, and a u above the
+# settling cap whose logistic update overflows
+_FAILING_X0 = st.sampled_from([(HUGE, HUGE), (1e150, 1e150), (1e308, 0.0)])
+_FIELDS = ("times", "U", "V", "clamped", "clamp_counts", "integral_u",
+           "integral_v", "max_total", "errors")
+
+
+def _split_and_plain(scheme, p, u0, v0, horizon, dt, seed, stride=1):
+    """run_batch on a NoiseStream and on the matrix of its increments: each a
+    BatchResult or the message of the IntegrationError it raised."""
+    def run(dW):
+        try:
+            with np.errstate(all="ignore"):
+                return run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
+        except IntegrationError as exc:
+            return str(exc)
+
+    n_steps = round(horizon / dt)
+    return (run(NoiseStream(seed, len(u0), dt, n_steps)),
+            run(_noise_matrix(seed, len(u0), dt, n_steps)))
+
+
+def _assert_same_batch(split, plain):
+    if isinstance(plain, str):
+        assert split == plain
+        return
+    for name in _FIELDS:
+        a, b = getattr(split, name), getattr(plain, name)
+        assert (a == b if name == "errors" else _bits(a, a.dtype) == _bits(b, b.dtype)), name
+
+
+@settings(max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       p=_PARAMS, x0s=st.lists(_SETTLING_X0, min_size=1, max_size=6),
+       failing=st.sampled_from([None, None, None, 0, 2, 6]), failing_x0=_FAILING_X0,
+       dt=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
+       stride=st.integers(1, 5), n_rows=st.integers(1, 12),
+       seed=st.integers(0, 2**64 - 1), step_cap=st.sampled_from([1, 3, 4096]))
+@example(scheme=Scheme.MILSTEIN, p=P_NOISY,
+         x0s=[(50.0, 10.0), "K", (30.0, -0.0), (0.0, 0.0), (50.0, 0.0)], failing=None,
+         failing_x0=(HUGE, HUGE), dt=0.05, stride=2, n_rows=10, seed=3, step_cap=3)
+@example(scheme=Scheme.EULER_MARUYAMA, p=P_FIG1, x0s=["K", "K", (0.0, -0.0)],
+         failing=1, failing_x0=(1e150, 1e150), dt=0.25, stride=1, n_rows=8, seed=5,
+         step_cap=1)
+# m*u overflows at (K, 0): the plain step goes NaN there, so the lane must
+# not settle
+@example(scheme=Scheme.EULER_MARUYAMA,
+         p=ModelParams(r=1.0, K=1e308, m=2.0, d=0.2, sigma=0.09),
+         x0s=["K", (50.0, 10.0)], failing=None, failing_x0=(HUGE, HUGE), dt=0.01,
+         stride=1, n_rows=3, seed=1, step_cap=1)
+def test_split_lanes_have_the_bits_of_the_plain_step(monkeypatch, scheme, p, x0s,
+                                                     failing, failing_x0, dt, stride,
+                                                     n_rows, seed, step_cap):
+    monkeypatch.setattr(integrators, "_SPLIT_MIN", 1)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    starts = [(p.K, 0.0) if x0 == "K" else x0 for x0 in x0s]
+    if failing is not None:
+        starts.insert(min(failing, len(starts)), failing_x0)
+    u0, v0 = np.array(starts).T.copy()
+    _assert_same_batch(*_split_and_plain(scheme, p, u0, v0, stride * n_rows * dt, dt,
+                                         seed, stride))
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in_process"])
+def test_a_wide_run_splits_with_the_bits_of_the_plain_step(monkeypatch, forks, cpus):
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 64)
+    splits = []
+    classify = integrators._Lanes.classify
+
+    def spy(lanes, u, v):
+        classify(lanes, u, v)
+        splits.append(lanes.split is not None)
+
+    monkeypatch.setattr(integrators._Lanes, "classify", spy)
+    # 2048 x 512 = 2^20 increments: the stream forks where two CPUs are usable.
+    # A quarter of the lanes start frozen, a quarter settled but moving, and
+    # the rest clamp under sigma 0.5 and settle on the way.
+    n = 2048
+    u0 = np.tile([50.0, P_NOISY.K, 30.0, 5.0], n // 4)
+    v0 = np.tile([10.0, 0.0, -0.0, 40.0], n // 4)
+    for scheme in (Scheme.EULER_MARUYAMA, Scheme.MILSTEIN):
+        split, plain = _split_and_plain(scheme, P_NOISY, u0, v0, 25.6, 0.05, 9, 8)
+        assert plain.clamp_counts.sum() > 0 and plain.V[:, -1].min() == 0.0
+        _assert_same_batch(split, plain)
+    assert len(forks) == (2 if cpus == 2 else 0)
+    assert splits[0] and all(splits)  # 1024 settled lanes from the start
