@@ -75,13 +75,14 @@ def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
     return float(dt)
 
 
-def _mapped(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised (rows, cols) float buffer in an anonymous mapping of
-    its own, unmapped when freed. From malloc, megabyte buffers land in the
-    heap once glibc has raised its mmap threshold, and the holes they leave
-    made the peak RSS of identical runs jump by several MB at random."""
-    buf = mmap.mmap(-1, rows * cols * 8)
-    return np.frombuffer(buf, dtype=float).reshape(rows, cols)
+def _mapped(*shape: int, dtype=float) -> np.ndarray:
+    """A zero-filled array in an anonymous shared mapping of its own,
+    unmapped when freed. A producer forked later shares it with the caller.
+    From malloc, megabyte buffers land in the heap once glibc has raised
+    its mmap threshold, and the holes they leave made the peak RSS of
+    identical runs jump by several MB at random."""
+    buf = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -89,12 +90,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # macOS has fork but no affinity mask
         return os.cpu_count() or 1
-
-
-def _shared_flags(n: int) -> np.ndarray:
-    """n False bytes in an anonymous shared mapping: a producer forked later
-    reads what the caller writes there."""
-    return np.frombuffer(mmap.mmap(-1, n), dtype=bool)
 
 
 def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray,
@@ -229,14 +224,14 @@ class NoiseStream:
 
     def _iter(self, settled: np.ndarray | None):
         """The blocks, skipping the draws of each path whose byte in settled
-        (from _shared_flags) is set when its block is drawn: that path's
+        (a bool _mapped array) is set when its block is drawn: that path's
         columns then hold stale finite values. A forked producer may draw a
         block while the caller still steps the block two before it."""
         draws = _blocks(self.seed, range(self.n_paths), self.n_steps,
                         _mapped(self.n_paths, self.block), settled)
         scale = math.sqrt(self.dt)
         if self._forks:
-            slots = _mapped(2 * self.block, self.n_paths).reshape(2, self.block, self.n_paths)
+            slots = _mapped(2, self.block, self.n_paths)
             yield from _produced(draws, scale, slots, self.n_steps)
         else:
             yield from _scaled(draws, scale, _mapped(self.block, self.n_paths))

@@ -64,7 +64,7 @@ _RK4_CLAMP_REL = 1e-12
 
 _NON_FINITE = "state went non-finite at t={t}"
 
-# settled lanes from which _Lanes splits its step: below about a thousand,
+# frozen lanes from which _Lanes splits its step: below about a thousand,
 # its gathers, scatters and copies cost more than the steps it saves
 _SPLIT_MIN = 1000
 
@@ -109,12 +109,6 @@ def _milstein_next(u, v, dt, dB, p: ModelParams):
     un, vn = _em_next(u, v, dt, dB, p)
     corr = _milstein_corr(u, v, dt, dB, p)
     return un + corr, vn - corr
-
-
-def _logistic_next(u, dt, p: ModelParams):
-    """The u update of either stochastic scheme at v == 0, where it has no
-    noise term: the same operations in the same order."""
-    return u + p.r * u * (1.0 - u / p.K) * dt
 
 
 def _rk4_next(u, v, dt, p: ModelParams):
@@ -497,7 +491,8 @@ def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
 
 
 def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
-    if np.any(u < 0.0) or np.any(v < 0.0) or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    # False on NaN, on +-inf and on negatives; True on -0.0
+    if not (np.all((u >= 0.0) & (u < np.inf)) and np.all((v >= 0.0) & (v < np.inf))):
         raise ParameterError("initial states must be finite and nonnegative")
 
 
@@ -527,75 +522,58 @@ def _spread(mask: np.ndarray | None, lanes: np.ndarray, n: int) -> np.ndarray | 
 
 
 class _Lanes:
-    """The lane classes of a single-cell run_batch driven by a NoiseStream,
-    recomputed at each noise block boundary.
+    """The step of a single-cell run_batch driven by a NoiseStream, which
+    leaves frozen lanes alone and steps every other lane with the scheme.
 
     A lane is settled once v == 0 with u at most _settle_cap: from there
     every noise and Milstein term of either scheme is +-0, so its step is
-    the clamped logistic update of u with v = +0.0, bit for bit, and it
-    stays settled. A settled lane is frozen when that update maps u to
-    itself (u == 0, u == K, or u so near K that the increment rounds
-    away); it never changes again. The other lanes are live.
+    a map of its own state alone, the same for any finite dB, and it stays
+    settled. settled is shared with the stream's drawer, which stops
+    drawing a settled path's increments from its next block on; a settled
+    lane that still moves is stepped with the stale noise, times +-0.
 
-    settled is shared with the stream's drawer, which stops drawing a
-    settled path's increments from its next block on. From _SPLIT_MIN
-    settled lanes on, or once every lane is frozen, step() gathers the live
-    lanes and steps them with the scheme, steps the settled lanes that
-    still move with the logistic update, and leaves frozen lanes alone.
-    Below that it steps every lane with the scheme, which multiplies the
-    stale noise of settled paths by zero.
+    At the last step of each noise block, a settled lane whose step kept
+    the bits of both u and v is frozen: its state is a fixed point of its
+    step, bits and sign of zero included, so it never changes again. From
+    _SPLIT_MIN frozen lanes on, or once every lane is frozen, step()
+    gathers the other lanes, steps them with the scheme and scatters them
+    back; below that every lane takes the scheme's step.
     """
 
     def __init__(self, scheme: Scheme, p: ModelParams, dt: float, block: int,
                  u: np.ndarray, v: np.ndarray):
         self.scheme, self.p, self.dt, self.block = scheme, p, dt, block
         self.cap = _settle_cap(p, dt)
-        self.settled = brownian._shared_flags(u.size)
-        self.rest = np.zeros(u.size)  # v of every settled lane after a step
-        self.split: tuple[np.ndarray, np.ndarray] | None = None
-        self.classify(u, v)
-
-    def classify(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Settle the lanes of state (u, v) and pick the next block's step."""
-        settled = self.settled
-        settled |= (v == 0.0) & (u <= self.cap)
-        n = np.count_nonzero(settled)
-        self.split = None
-        if n < _SPLIT_MIN and n < settled.size:
-            return
-        lanes = np.flatnonzero(settled)
-        us = u[lanes]
-        nxt = _logistic_next(us, self.dt, self.p)
-        # bits, so that a -0.0 is not frozen where the clamp writes +0.0
-        moves = np.where(nxt >= _TINY, nxt, 0.0).view(np.int64) != us.view(np.int64)
-        if n >= _SPLIT_MIN or not moves.any():
-            self.split = np.flatnonzero(~settled), lanes[moves]
+        self.settled = brownian._mapped(u.size, dtype=bool)
+        self.settled |= (v == 0.0) & (u <= self.cap)
+        self.stepped: np.ndarray | None = None  # the lanes a split step steps
 
     def step(self, k: int, u: np.ndarray, v: np.ndarray, dB: np.ndarray):
-        """_stochastic_next of every lane for step k, computed by class; the
-        last step of a block classifies the lanes for the next one."""
+        """_stochastic_next of every lane for step k; the last step of a block
+        settles and freezes lanes for the next one."""
         out = self._next(u, v, dB)
         if k % self.block == 0:
-            self.classify(out[0], out[1])
+            self._observe(u, v, out[0], out[1])
         return out
 
+    def _observe(self, u, v, un, vn) -> None:
+        settled = self.settled
+        settled |= (vn == 0.0) & (un <= self.cap)
+        frozen = (settled & (un.view(np.int64) == u.view(np.int64))
+                  & (vn.view(np.int64) == v.view(np.int64)))
+        n = np.count_nonzero(frozen)
+        self.stepped = np.flatnonzero(~frozen) if n >= _SPLIT_MIN or n == u.size else None
+
     def _next(self, u, v, dB):
-        if self.split is None:
+        lanes = self.stepped
+        if lanes is None:
             return _stochastic_next(self.scheme, u, v, self.dt, dB, self.p)
-        live, moving = self.split
-        if not (live.size or moving.size):
-            return u, self.rest, None, None
-        un, vn, n = u.copy(), self.rest.copy(), u.size
-        events = failed = None
-        if live.size:
-            un[live], vn[live], events, failed = _stochastic_next(
-                self.scheme, u[live], v[live], self.dt, dB[live], self.p)
-            events, failed = _spread(events, live, n), _spread(failed, live, n)
-        if moving.size:
-            un[moving], ev, bad = _clamp_array(_logistic_next(u[moving], self.dt, self.p))
-            events = _union(events, _spread(ev, moving, n))
-            failed = _union(failed, _spread(bad, moving, n))
-        return un, vn, events, failed
+        if not lanes.size:
+            return u, v, None, None
+        un, vn = u.copy(), v.copy()
+        un[lanes], vn[lanes], events, failed = _stochastic_next(
+            self.scheme, u[lanes], v[lanes], self.dt, dB[lanes], self.p)
+        return un, vn, _spread(events, lanes, u.size), _spread(failed, lanes, u.size)
 
 
 def _noise_rows(dW, n_paths: int, n_steps: int, dt: float,
@@ -644,11 +622,12 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
 
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
-    batch. A single-cell run on a NoiseStream neither draws nor steps with
-    the scheme the lanes whose labour force has died out (see _Lanes), with
-    the same bits. A failing single-cell run raises IntegrationError; a
-    multi-cell run records in errors what a run of the failed row alone
-    would raise, parks the row at (0, 0) and runs the other rows on.
+    batch. A single-cell run on a NoiseStream draws no noise for the lanes
+    whose labour force has died out and skips those that no longer move
+    (see _Lanes), with the same bits. A failing single-cell run raises
+    IntegrationError; a multi-cell run records in errors what a run of the
+    failed row alone would raise, parks the row at (0, 0) and runs the
+    other rows on.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
@@ -664,10 +643,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
         p = tuple(p)
         coeffs, cells = _stack_params(p), (len(p),)
     if (u.shape != v.shape or u.ndim != len(cells) + 1 or u.shape[:-1] != cells
-            or u.shape[-1] == 0):
+            or u.size == 0):
         raise ParameterError("u0 and v0 must be 1-D arrays of equal, nonzero "
-                             "length, or of shape (cells, n_paths >= 1) for a "
-                             "sequence of params")
+                             "length, or of shape (cells >= 1, n_paths >= 1) for "
+                             "a nonempty sequence of params")
     _check_initial(u, v)
     n_paths = u.shape[-1]
     errors: list[str | None] = [None] * (cells[0] if cells else 1)

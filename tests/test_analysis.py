@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import tracemalloc
@@ -364,9 +365,10 @@ def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, forks, run):
     requested = []
     mapped = brownian._mapped
 
-    def spy(rows, cols):
-        requested.append(rows * cols * 8)
-        return mapped(rows, cols)
+    def spy(*shape, dtype=float):
+        if dtype is float:  # noise; a settling run maps a bool mask besides
+            requested.append(math.prod(shape) * 8)
+        return mapped(*shape, dtype=dtype)
 
     monkeypatch.setattr(brownian, "_mapped", spy)
     run()  # 1000 paths x 8192 steps: 65.5 MB of increments

@@ -439,6 +439,9 @@ def test_multi_cell_validates_shapes():
     with pytest.raises(ParameterError):  # a single params set takes 1-D lanes
         run_batch(Scheme.RK4, P_FIG1, np.ones((1, 2)), np.ones((1, 2)),
                   1.0, 0.01, None)
+    with pytest.raises(ParameterError):  # an empty sequence of params
+        run_batch(Scheme.MILSTEIN, [], np.empty((0, 3)), np.empty((0, 3)), 1.0,
+                  0.1, NoiseStream(1, 3, 0.1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -959,14 +962,16 @@ def test_only_failed_rows_leave_the_quadrant(monkeypatch, scheme, cells, x0s, dt
 
 
 # ---------------------------------------------------------------------------
-# settled lanes: a stream-driven run that splits its lanes by class has the
+# settled lanes: a stream-driven run that skips its frozen lanes has the
 # bits of the plain step on the row-major matrix of the same increments
 
-# "K" starts a frozen lane at (K, 0)
+# "K" starts a frozen lane at (K, 0), and "K, -0.0" a lane at (K, -0.0),
+# whose first step writes v = +0.0
+_AT_K = {"K": 0.0, "K, -0.0": -0.0}
 _SETTLING_X0 = (st.tuples(st.floats(0.0, 100.0),
                           st.floats(0.0, 100.0) | st.sampled_from([0.0, -0.0]))
-                | st.sampled_from(["K", (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),
-                                   (30.0, -0.0)]))
+                | st.sampled_from(["K", "K, -0.0", (0.0, 0.0), (0.0, -0.0),
+                                   (-0.0, 0.0), (30.0, -0.0)]))
 # lanes that fail: on the first step, a few steps in, and a u above the
 # settling cap whose logistic update overflows
 _FAILING_X0 = st.sampled_from([(HUGE, HUGE), (1e150, 1e150), (1e308, 0.0)])
@@ -1023,7 +1028,7 @@ def test_split_lanes_have_the_bits_of_the_plain_step(monkeypatch, scheme, p, x0s
                                                      n_rows, seed, step_cap):
     monkeypatch.setattr(integrators, "_SPLIT_MIN", 1)
     monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
-    starts = [(p.K, 0.0) if x0 == "K" else x0 for x0 in x0s]
+    starts = [(p.K, _AT_K[x0]) if x0 in _AT_K else x0 for x0 in x0s]
     if failing is not None:
         starts.insert(min(failing, len(starts)), failing_x0)
     u0, v0 = np.array(starts).T.copy()
@@ -1035,23 +1040,46 @@ def test_split_lanes_have_the_bits_of_the_plain_step(monkeypatch, scheme, p, x0s
 def test_a_wide_run_splits_with_the_bits_of_the_plain_step(monkeypatch, forks, cpus):
     monkeypatch.setattr(brownian, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(brownian, "_BLOCK_STEPS", 64)
-    splits = []
-    classify = integrators._Lanes.classify
+    stepped = []
+    observe = integrators._Lanes._observe
 
-    def spy(lanes, u, v):
-        classify(lanes, u, v)
-        splits.append(lanes.split is not None)
+    def spy(lanes, *state):
+        observe(lanes, *state)
+        stepped.append(None if lanes.stepped is None else lanes.stepped.size)
 
-    monkeypatch.setattr(integrators._Lanes, "classify", spy)
+    monkeypatch.setattr(integrators._Lanes, "_observe", spy)
     # 2048 x 512 = 2^20 increments: the stream forks where two CPUs are usable.
-    # A quarter of the lanes start frozen, a quarter settled but moving, and
-    # the rest clamp under sigma 0.5 and settle on the way.
+    # Half of the lanes start frozen, at (K, 0) or (0, 0), and (K, -0.0) is
+    # frozen once its first step has written v = +0.0; (30, -0.0) is settled
+    # but moves, and the rest clamp under sigma 0.5 and settle on the way.
     n = 2048
-    u0 = np.tile([50.0, P_NOISY.K, 30.0, 5.0], n // 4)
-    v0 = np.tile([10.0, 0.0, -0.0, 40.0], n // 4)
+    u0 = np.tile([50.0, P_NOISY.K, 30.0, 0.0, 5.0, P_NOISY.K, P_NOISY.K, 0.0], n // 8)
+    v0 = np.tile([10.0, 0.0, -0.0, 0.0, 40.0, 0.0, -0.0, 0.0], n // 8)
     for scheme in (Scheme.EULER_MARUYAMA, Scheme.MILSTEIN):
         split, plain = _split_and_plain(scheme, P_NOISY, u0, v0, 25.6, 0.05, 9, 8)
         assert plain.clamp_counts.sum() > 0 and plain.V[:, -1].min() == 0.0
         _assert_same_batch(split, plain)
     assert len(forks) == (2 if cpus == 2 else 0)
-    assert splits[0] and all(splits)  # 1024 settled lanes from the start
+    # from the first block boundary on, no step steps those 1280 lanes
+    assert len(stepped) == 16 and all(s is not None and s <= 3 * n // 8 for s in stepped)
+
+
+def test_settled_lanes_that_move_take_the_schemes_step(monkeypatch):
+    # 2048 lanes settle at (30, 0) but none freezes within the run, so every
+    # step, below the frozen-lane floor, steps every lane with the scheme
+    sizes = []
+
+    def spy(scheme, u, *args):
+        sizes.append(u.size)
+        return _stochastic_next(scheme, u, *args)
+
+    monkeypatch.setattr(integrators, "_stochastic_next", spy)
+    n, n_steps = 2048, 256
+    u0, v0 = np.full(n, 30.0), np.zeros(n)
+    split = run_batch(Scheme.MILSTEIN, P_FIG1, u0, v0, 2.56, 0.01,
+                      NoiseStream(4, n, 0.01, n_steps))
+    assert sizes == [n] * n_steps
+    plain = run_batch(Scheme.MILSTEIN, P_FIG1, u0, v0, 2.56, 0.01,
+                      _noise_matrix(4, n, 0.01, n_steps))
+    _assert_same_batch(split, plain)
+    assert np.all(split.U[:, -1] > 30.0) and np.all(split.U[:, -1] < P_FIG1.K)
