@@ -239,10 +239,11 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     run at dt_fine and, for each level L = 1..levels, a run at
     dt_fine * 2^L using the coarsened increments of the same path. The
     noise is read once: the fine rows stream by, each level sums its
-    groups of 2^L rows as they pass (in group_sums' left-to-right order)
-    and steps when a group is complete, so memory is bounded by lanes
-    times one noise block, not by the fine step count. The error at a
-    level is the mean over paths of |u_T - u_T_ref| + |v_T - v_T_ref|.
+    groups of 2^L rows as they pass (left to right, the order of the
+    tests' reference group_sums) and steps when a group is complete, so
+    memory is bounded by lanes times one noise block, not by the fine
+    step count. The error at a level is the mean over paths of
+    |u_T - u_T_ref| + |v_T - v_T_ref|.
     """
     if scheme is Scheme.RK4:
         raise ParameterError("strong_order measures stochastic schemes; "

@@ -22,6 +22,7 @@ import math
 import mmap
 import os
 import signal
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +60,13 @@ class BrownianPath:
         return self.n_steps * self.dt
 
 
+def _positive_finite(x) -> bool:
+    """True for an int or float, not a bool, in (0, DBL_MAX]: the rule for
+    dt and horizon. False, not an error, on NaN, inf and ints past a double."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and 0.0 < x <= sys.float_info.max)
+
+
 def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
@@ -70,7 +78,7 @@ def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
         raise ParameterError(f"path_index must fit in 32 bits, got {path_index}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
         raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)) or not dt > 0.0 or not math.isfinite(dt):
+    if not _positive_finite(dt):
         raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
     return float(dt)
 
@@ -235,23 +243,3 @@ class NoiseStream:
             yield from _produced(draws, scale, slots, self.n_steps)
         else:
             yield from _scaled(draws, scale, _mapped(self.block, self.n_paths))
-
-
-def group_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive groups of ``factor`` along the first (time) axis.
-
-    Summation within each group is strictly left to right, the pinned
-    order, regardless of factor, so each column matches a scalar running
-    sum bit for bit.
-    """
-    n = increments.shape[0]
-    if n % factor != 0:
-        raise ParameterError(
-            f"factor {factor} does not divide the number of increments {n}"
-        )
-    grouped = increments.reshape((n // factor, factor) + increments.shape[1:])
-    acc = grouped[:, 0].copy()
-    for j in range(1, factor):
-        acc += grouped[:, j]
-    return acc
-

@@ -240,9 +240,9 @@ class Trajectory:
 
 
 def _resolve_steps(horizon: float, dt: float) -> int:
-    if not (isinstance(dt, (int, float)) and dt > 0.0 and np.isfinite(dt)):
+    if not brownian._positive_finite(dt):
         raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
-    if not (isinstance(horizon, (int, float)) and horizon > 0.0 and np.isfinite(horizon)):
+    if not brownian._positive_finite(horizon):
         raise ParameterError(f"horizon must be a positive finite number, got {horizon!r}")
     ratio = horizon / dt
     if not math.isfinite(ratio):
@@ -317,7 +317,7 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
             rows_flag[row] = counts != last
             last = counts
             row += 1
-    times = np.arange(0, n_steps + 1, record_stride) * dt
+    times = np.arange(0, n_steps + 1, record_stride) * float(dt)
     return times, U, V, flags, counts, integral_u, integral_v, max_total
 
 
@@ -496,22 +496,6 @@ def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
         raise ParameterError("initial states must be finite and nonnegative")
 
 
-def _settle_cap(p: ModelParams, dt: float) -> float:
-    """The largest u at which a lane with v == 0 counts as settled, or -1.0.
-
-    The logistic update lowers any u above K and keeps [0, K] below
-    K * (1 + r*dt)^2 / (4*r*dt) (K when r*dt < 1), so a settled lane's u
-    never exceeds twice that peak. Up to it m*u, sigma*u and
-    half_sigma_sq*u stay finite, and so does dB*dB: sampled normals stay
-    below 14 in magnitude. Every term the schemes multiply by v is then
-    +-0 when v is.
-    """
-    peak = 2.0 * max(p.K, p.K * (1.0 + p.r * dt) * (1.0 + p.r * dt) / (4.0 * p.r * dt))
-    if math.isfinite(peak * max(p.m, p.sigma, p.half_sigma_sq) + 200.0 * dt):
-        return peak
-    return -1.0
-
-
 def _spread(mask: np.ndarray | None, lanes: np.ndarray, n: int) -> np.ndarray | None:
     """A lane mask over the gathered lanes as one over all n lanes."""
     if mask is None:
@@ -525,12 +509,15 @@ class _Lanes:
     """The step of a single-cell run_batch driven by a NoiseStream, which
     leaves frozen lanes alone and steps every other lane with the scheme.
 
-    A lane is settled once v == 0 with u at most _settle_cap: from there
-    every noise and Milstein term of either scheme is +-0, so its step is
-    a map of its own state alone, the same for any finite dB, and it stays
-    settled. settled is shared with the stream's drawer, which stops
-    drawing a settled path's increments from its next block on; a settled
-    lane that still moves is stepped with the stale noise, times +-0.
+    A lane is settled once v == 0. Each term of either scheme that holds
+    dB has v as an earlier factor ((sigma*u*v)*dB, and
+    half_sigma_sq*u*v*(v - u)*(dB*dB - dt)), which at v == +-0 is +-0 or
+    NaN by u alone: +-0 times a finite dB is a +-0 that the clamp erases,
+    and NaN fails the lane whatever dB is. So a settled lane's step is a
+    map of its own state, and it stays settled; a new scheme must keep v
+    ahead of dB likewise. settled is shared with the stream's drawer,
+    which stops drawing a settled path's increments from its next block
+    on; a settled lane that still moves is stepped with the stale noise.
 
     At the last step of each noise block, a settled lane whose step kept
     the bits of both u and v is frozen: its state is a fixed point of its
@@ -543,9 +530,8 @@ class _Lanes:
     def __init__(self, scheme: Scheme, p: ModelParams, dt: float, block: int,
                  u: np.ndarray, v: np.ndarray):
         self.scheme, self.p, self.dt, self.block = scheme, p, dt, block
-        self.cap = _settle_cap(p, dt)
         self.settled = brownian._mapped(u.size, dtype=bool)
-        self.settled |= (v == 0.0) & (u <= self.cap)
+        self.settled |= v == 0.0
         self.stepped: np.ndarray | None = None  # the lanes a split step steps
 
     def step(self, k: int, u: np.ndarray, v: np.ndarray, dB: np.ndarray):
@@ -558,7 +544,7 @@ class _Lanes:
 
     def _observe(self, u, v, un, vn) -> None:
         settled = self.settled
-        settled |= (vn == 0.0) & (un <= self.cap)
+        settled |= vn == 0.0
         frozen = (settled & (un.view(np.int64) == u.view(np.int64))
                   & (vn.view(np.int64) == v.view(np.int64)))
         n = np.count_nonzero(frozen)
@@ -623,11 +609,11 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
     batch. A single-cell run on a NoiseStream draws no noise for the lanes
-    whose labour force has died out and skips those that no longer move
-    (see _Lanes), with the same bits. A failing single-cell run raises
-    IntegrationError; a multi-cell run records in errors what a run of the
-    failed row alone would raise, parks the row at (0, 0) and runs the
-    other rows on.
+    whose labour force has died out (v == 0) and skips those that no
+    longer move (see _Lanes), with the same bits. A failing single-cell
+    run raises IntegrationError; a multi-cell run records in errors what a
+    run of the failed row alone would raise, parks the row at (0, 0) and
+    runs the other rows on.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
@@ -664,10 +650,12 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                 xu[:] = xv[:] = 0.0
 
     if scheme.is_stochastic:
-        # multi-cell runs keep the plain step, and so do user matrices: an
-        # inf or NaN increment on a settled lane must still fail the run
+        # multi-cell runs keep the plain step, and so do runs on user
+        # matrices (an inf or NaN increment on a settled lane must still
+        # fail the run) and at a dt where dB*dB, |dB| < 14*sqrt(dt), may overflow
         lanes = (_Lanes(scheme, coeffs, dt, dW.block, u, v)
-                 if not cells and isinstance(dW, NoiseStream) else None)
+                 if not cells and isinstance(dW, NoiseStream)
+                 and math.isfinite(200.0 * dt) else None)
         noise = _noise_rows(dW, n_paths, n_steps, dt,
                             None if lanes is None else lanes.settled)
 
@@ -714,12 +702,12 @@ def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
     """Terminal (u, v) of levels + 1 coupled runs in one pass over dW's rows.
 
     Row L of each result is the terminal state of run_batch at step
-    dt * 2^L driven by group_sums(increments, 2^L), bit for bit: each
-    group's sum is built as group_sums builds it (a copy of its first
-    row, then += left to right) while the rows stream by, and level L
-    steps whenever its group of 2^L rows is complete. The levels that
-    complete on a row always form a prefix 0..c-1 of the level axis, so
-    they advance together as one (c, n_paths) lane array. Raises
+    dt * 2^L driven by the increments summed in groups of 2^L rows, bit
+    for bit: each group's sum is a copy of its first row, then += left to
+    right (the order of the tests' reference group_sums), built while the
+    rows stream by, and level L steps whenever its group is complete. The
+    levels that complete on a row always form a prefix 0..c-1 of the level
+    axis, so they advance together as one (c, n_paths) lane array. Raises
     IntegrationError when a run goes non-finite.
     """
     _check_initial(u0, v0)

@@ -37,6 +37,8 @@ from jobmarket.analysis import (
     time_average,
 )
 
+from coarsening import group_sums
+
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
 
@@ -148,6 +150,19 @@ def test_ensemble_clamp_rate_counts_clamped_paths():
     expected = np.count_nonzero(batch.clamp_counts > 0) / 16
     assert stats.clamp_rate == expected
     assert 0.0 < stats.clamp_rate <= 1.0
+
+
+def test_an_integer_dt_records_float_times():
+    # the bits of a float dt, from every entry point that records times
+    x0 = State(100.0, 0.0)
+    u0, v0 = np.full(2, x0.u), np.full(2, x0.v)
+    runs = [(simulate(Scheme.RK4, P_FIG2, x0, 4, dt),
+             run_batch(Scheme.RK4, P_FIG2, u0, v0, 4, dt, None),
+             simulate_paths(P_FIG2, Scheme.MILSTEIN, x0, 4, dt, 2, 1))
+            for dt in (1, 1.0)]
+    for as_int, as_float in zip(*runs):
+        assert as_int.times.dtype == np.float64
+        assert as_int.times.tobytes() == as_float.times.tobytes()
 
 
 def test_simulate_paths_validates_n_paths():
@@ -289,7 +304,7 @@ def _strong_order_reference(p, scheme, x0, horizon, dt_fine, levels, n_paths,
         factor = 2 ** level
         dt_level = dt_fine * factor
         out = run_batch(scheme, p, u0, v0, horizon, dt_level,
-                        brownian.group_sums(noise, factor).T,
+                        group_sums(noise, factor).T,
                         record_stride=n_fine // factor)
         err = float(np.mean(np.abs(out.terminal_u - ref.terminal_u)
                             + np.abs(out.terminal_v - ref.terminal_v)))

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from jobmarket import (BrownianPath, ModelParams, ParameterError, Scheme, generate,
                        run_batch)
 from jobmarket import brownian, integrators
-from jobmarket.brownian import group_sums
 from jobmarket.brownian import NoiseStream
+
+from coarsening import group_sums
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,10 @@ def test_simulate_validates_inputs():
         simulate(Scheme.RK4, P_FIG2, State(1, 1), 1.0, 0.01, record_stride=3)  # 3 !| 100
     with pytest.raises(ParameterError):
         simulate(Scheme.RK4, P_FIG2, State(1, 1), 0.0, 0.01)
+    # a bool, or an int beyond every double, is neither a horizon nor a dt
+    for horizon, dt in ((3, True), (True, 0.5), (10**400, 1), (3, 10**400)):
+        with pytest.raises(ParameterError):
+            simulate(Scheme.RK4, P_FIG2, State(1, 1), horizon, dt)
 
 
 def test_simulate_grid_and_recording():
@@ -372,6 +376,8 @@ def test_batch_validates_shapes():
     for dW in (NoiseStream(1, 1, 0.01, 100), np.zeros((0, 100))):  # no lanes
         with pytest.raises(ParameterError):
             run_batch(Scheme.MILSTEIN, P_FIG1, np.zeros(0), np.zeros(0), 1.0, 0.01, dW)
+    with pytest.raises(ParameterError):  # a bool is neither a horizon nor a dt
+        run_batch(Scheme.RK4, P_FIG1, np.ones(2), np.ones(2), True, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +978,8 @@ _SETTLING_X0 = (st.tuples(st.floats(0.0, 100.0),
                           st.floats(0.0, 100.0) | st.sampled_from([0.0, -0.0]))
                 | st.sampled_from(["K", "K, -0.0", (0.0, 0.0), (0.0, -0.0),
                                    (-0.0, 0.0), (30.0, -0.0)]))
-# lanes that fail: on the first step, a few steps in, and a u above the
-# settling cap whose logistic update overflows
+# lanes that fail: on the first step, a few steps in, and a settled lane
+# whose logistic update overflows
 _FAILING_X0 = st.sampled_from([(HUGE, HUGE), (1e150, 1e150), (1e308, 0.0)])
 _FIELDS = ("times", "U", "V", "clamped", "clamp_counts", "integral_u",
            "integral_v", "max_total", "errors")
@@ -1017,8 +1023,8 @@ def _assert_same_batch(split, plain):
 @example(scheme=Scheme.EULER_MARUYAMA, p=P_FIG1, x0s=["K", "K", (0.0, -0.0)],
          failing=1, failing_x0=(1e150, 1e150), dt=0.25, stride=1, n_rows=8, seed=5,
          step_cap=1)
-# m*u overflows at (K, 0): the plain step goes NaN there, so the lane must
-# not settle
+# m*u overflows at (K, 0): the lane settles, and its step goes NaN whatever
+# dB is, so the split run fails at the plain step's step
 @example(scheme=Scheme.EULER_MARUYAMA,
          p=ModelParams(r=1.0, K=1e308, m=2.0, d=0.2, sigma=0.09),
          x0s=["K", (50.0, 10.0)], failing=None, failing_x0=(HUGE, HUGE), dt=0.01,
@@ -1032,6 +1038,43 @@ def test_split_lanes_have_the_bits_of_the_plain_step(monkeypatch, scheme, p, x0s
     if failing is not None:
         starts.insert(min(failing, len(starts)), failing_x0)
     u0, v0 = np.array(starts).T.copy()
+    _assert_same_batch(*_split_and_plain(scheme, p, u0, v0, stride * n_rows * dt, dt,
+                                         seed, stride))
+
+
+# far beyond the params above: a lane with v == 0 settles whatever its u,
+# also where m*u, sigma*u or its logistic update overflows, since the
+# schemes multiply by v before dB and the step then goes NaN for any dB
+_WIDE_PARAMS = st.builds(ModelParams, r=st.floats(0.1, 50.0), K=st.floats(10.0, 1.7e308),
+                         m=st.floats(0.001, 10.0), d=st.floats(0.05, 1.0),
+                         sigma=st.floats(0.0, 50.0))
+_EXTINCT_X0 = (st.tuples(st.sampled_from([1e150, 1e300, 1.7e308]),
+                         st.sampled_from([0.0, -0.0]))
+               | st.tuples(st.floats(0.0, 1.7e308),
+                           st.sampled_from([0.0, -0.0, 1e-300, 5.0])))
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       p=_WIDE_PARAMS, x0s=st.lists(_EXTINCT_X0, min_size=1, max_size=6),
+       dt=st.sampled_from([0.01, 1.0, 1e5]) | st.floats(1e-3, 1e5),
+       stride=st.integers(1, 3), n_rows=st.integers(1, 6),
+       seed=st.integers(0, 2**64 - 1), step_cap=st.integers(1, 5))
+# u grows from 1e300 toward K until sigma*u*dB would overflow on fresh noise:
+# the noise term must take v as a factor before dB
+@example(scheme=Scheme.EULER_MARUYAMA,
+         p=ModelParams(r=1.0, K=1.7e308, m=0.001, d=1.0, sigma=3.0),
+         x0s=[(0.0, 0.0), (1e300, 0.0)], dt=1e5, stride=1, n_rows=3, seed=2, step_cap=1)
+# at dt 1.7e308 a fresh dB*dB overflows once |dB| > 1.03*sqrt(dt), and the
+# Milstein step from (0, 0) goes NaN: no lane may settle and step on a stale 0
+@example(scheme=Scheme.MILSTEIN, p=P_FIG1, x0s=[(0.0, 0.0)] * 8, dt=1.7e308, stride=1,
+         n_rows=1, seed=7, step_cap=1)
+def test_a_lane_with_v_zero_settles_whatever_its_u(monkeypatch, scheme, p, x0s, dt,
+                                                   stride, n_rows, seed, step_cap):
+    monkeypatch.setattr(integrators, "_SPLIT_MIN", 1)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    u0, v0 = np.array(x0s).T.copy()
     _assert_same_batch(*_split_and_plain(scheme, p, u0, v0, stride * n_rows * dt, dt,
                                          seed, stride))
 
