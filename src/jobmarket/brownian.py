@@ -1,12 +1,14 @@
 """Reproducible Brownian increment streams.
 
 Each path is an i.i.d. N(0, dt) increment sequence drawn from a stream
-keyed by (seed, path_index) through numpy's SeedSequence, which mixes the
-key cryptographically before seeding a PCG64 generator. Distinct keys give
-independent streams, so an ensemble's paths can be produced in any order,
-or concurrently, without changing a single bit of any path. A large
-NoiseStream uses that: a forked producer process draws the next block
-while the caller steps through the current one.
+keyed by (seed, path_index) through numpy's SeedSequence, which hashes the
+key into the state words of a PCG64 generator; the hash is computed for all
+of a stream's paths at once, in uint32 array arithmetic, and gives
+SeedSequence's words bit for bit. Distinct keys give independent streams,
+so an ensemble's paths can be produced in any order, or concurrently,
+without changing a single bit of any path. A large NoiseStream uses that:
+a forked producer process draws the next block while the caller steps
+through the current one.
 
 The sampling algorithm is pinned per release: PCG64 driven standard
 normals (numpy's ziggurat) scaled by sqrt(dt). Regenerating with the same
@@ -100,6 +102,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n values of a SeedSequence hash constant, as a column."""
+    consts = [init]
+    for _ in range(n - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# SeedSequence's hash constants: the 17 values its pool hash steps through
+# and the 9 of its state hash, the same for any entropy, and its mix weights
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(x: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Row k is SeedSequence's hashmix of x while its hash constant steps
+    from consts[k] to consts[k + 1]."""
+    x = (x ^ consts[:-1]) * consts[1:]
+    return x ^ x >> 16
+
+
+def _seed_words(seed: int, paths) -> np.ndarray:
+    """Row j is SeedSequence([seed, paths[j]]).generate_state(4, np.uint64),
+    hashed for every path at once. The entropy, the seed's little-endian
+    32-bit words then paths[j], is at most 3 words in a pool of 4, and the
+    hash constants step apart from the data. So each hash step is one ufunc
+    over all paths, and so are the three that mix one pool word into the
+    others and the eight that make the state words. uint32 arrays wrap
+    silently on overflow, where numpy scalars would warn."""
+    seed_words = [seed >> shift & 0xFFFFFFFF
+                  for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((4, len(paths)), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = paths
+    pool = _hashmix(entropy, _HASH_A[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        x = pool[dst] * _MIX_L - _hashmix(pool[src], _HASH_A[k:k + 4]) * _MIX_R
+        pool[dst] = x ^ x >> 16
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
+    # uint64 word k is 32-bit words 2k and 2k + 1, little-endian, as in SeedSequence
+    state = np.ascontiguousarray(state.T, dtype="<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
 def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray,
             settled: np.ndarray | None = None):
     """The pinned sampler: each view of the (len(paths), block) buffer rows
@@ -108,7 +157,18 @@ def _blocks(seed: int, paths, n_steps: int, rows: np.ndarray,
     its block starts is not drawn: it keeps its last values (zeros in the
     first block), and stream paths[j] is never drawn from again, so flags
     may only ever be set."""
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in paths]
+    # imported here: at module top it would load numpy.random into every CLI run
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Keyed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for generate_state(4, np.uint64)
+
+    rngs = [np.random.default_rng(np.random.PCG64(Keyed(words)))
+            for words in _seed_words(seed, paths)]
     block = rows.shape[1]
     for start in range(0, n_steps, block):
         view = rows[:, :min(block, n_steps - start)]

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jobmarket import (BrownianPath, ModelParams, ParameterError, Scheme, generate,
@@ -171,6 +171,27 @@ def test_generate_is_the_pinned_pcg64_sampler():
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         expected = rng.standard_normal(n) * math.sqrt(dt)
         assert generate(seed, i, dt, n).increments.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1),
+       paths=st.lists(st.integers(0, 2**32 - 1), max_size=6).map(
+           lambda paths: [0, *paths, 2**32 - 1]))
+@example(seed=0, paths=[0, 1, 2**32 - 1])
+@example(seed=2**32 - 1, paths=[0, 2**31, 2**32 - 1])
+@example(seed=2**32, paths=[0, 2**32 - 1])
+@example(seed=2**64 - 1, paths=[0, 2**32 - 1, 5])
+def test_vectorised_seeding_is_seed_sequence_bit_for_bit(seed, paths):
+    words = brownian._seed_words(seed, np.array(paths))
+    expected = np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                         for i in paths])
+    assert words.dtype == np.uint64 and words.shape == (len(paths), 4)
+    assert words.tobytes() == expected.tobytes()
+    # the generators _blocks builds from those words draw what SeedSequence's do
+    first = next(brownian._blocks(seed, paths, 5, np.empty((len(paths), 5))))
+    for row, i in zip(first, paths):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        assert row.tobytes() == rng.standard_normal(5).tobytes()
 
 
 @settings(max_examples=60,
@@ -357,11 +378,14 @@ def test_an_all_frozen_run_draws_nothing_after_its_first_two_blocks(monkeypatch,
     monkeypatch.setattr(brownian, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(brownian, "_FORK_MIN", 0)
     monkeypatch.setattr(brownian, "_BLOCK_STEPS", 10)
-    draws = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)  # a forked producer counts here
+    # a forked producer counts in these too
+    draws = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    made = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     default_rng = np.random.default_rng
 
     class Counting:
         def __init__(self, seed):
+            made[0] += 1
             self.rng = default_rng(seed)
 
         def standard_normal(self, out):
@@ -376,6 +400,8 @@ def test_an_all_frozen_run_draws_nothing_after_its_first_two_blocks(monkeypatch,
     assert np.all(result.U == 100.0) and np.all(result.V == 0.0)
     # a forked producer may draw block 1 before the engine writes the mask
     assert draws[0] <= 2 * n
+    # every generator came through default_rng, so the bound above saw them all
+    assert made[0] == n
     assert len(forks) == (1 if cpus == 2 else 0)
 
 

@@ -436,6 +436,17 @@ def test_module_entry_point(tmp_path):
     assert (out / "thresholds.json").exists()
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random adds import time and about 6 MB of RSS to every run; the
+    # noise sampler loads it when it first draws
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, jobmarket.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.skipif(shutil.which("jobmarket") is None,
                     reason="console script not on PATH")
 def test_console_script(tmp_path):
