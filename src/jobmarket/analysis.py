@@ -17,7 +17,7 @@ import numpy as np
 
 from . import brownian
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory,
+from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory, _check_initial,
                           _coupled_terminals, _resolve_steps, run_batch)
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
@@ -325,7 +325,8 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
     Cells are emitted in row-major order (m outer, sigma inner). Every
     cell is validated and classified first; a failure there (for example
     sigma = 0, which the classifier rejects) is recorded on that cell. An
-    input shared by every cell that is bad (a horizon, say) raises.
+    input shared by every cell that is bad (a horizon, say) raises, also
+    when no cell is valid.
     The valid cells then advance together in one multi-cell batch that
     records only the terminal state and keeps only the integral of v,
     sharing one noise block. A cell whose integration fails is recorded
@@ -336,6 +337,9 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
     if len(m_grid) == 0 or len(sigma_grid) == 0:
         raise ParameterError("m_grid and sigma_grid must be nonempty")
     record_stride = _resolve_steps(horizon, dt)  # the terminal state only
+    _check_initial(*x0)
+    # checks seed and n_paths, which no cell may fail on its own; draws nothing
+    brownian.NoiseStream(seed, n_paths, dt, record_stride)
     grid = [(m, sigma) for m in m_grid for sigma in sigma_grid]
     cells: dict[int, RegimeCell] = {}
     valid: dict[int, tuple[ModelParams, Regime]] = {}

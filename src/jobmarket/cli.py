@@ -215,7 +215,8 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-_EXIT_CODES = {ParameterError: 2, ZeroNoiseError: 3, IntegrationError: 4}
+# a run whose records cannot be allocated asked for too many steps: exit 2
+_EXIT_CODES = {ParameterError: 2, MemoryError: 2, ZeroNoiseError: 3, IntegrationError: 4}
 
 _HANDLERS = {
     "thresholds": _cmd_thresholds,

@@ -1,11 +1,13 @@
 """Fixed-step integrators: classical RK4 for the noise-free system,
 Euler-Maruyama and Milstein for the noisy one.
 
-All three schemes share the same drift/diffusion evaluations from
-:mod:`jobmarket.model`, and the stochastic updates apply the matching
-noise term with opposite signs, so the step-to-step change of u + v is
-the pure drift balance dt*(r*u*(1 - u/K) - d*v) up to a few ulps,
-independent of the Brownian increment.
+All three schemes take the drift from :func:`jobmarket.model.drift`. The
+stochastic updates compute the diffusion sigma*u*v themselves and apply
+it with opposite signs, so the step-to-step change of u + v is the pure
+drift balance dt*(r*u*(1 - u/K) - d*v) up to a few ulps, independent of
+the Brownian increment. Each update is written once, for Python floats
+(one path) and lane arrays alike, and _STOCHASTIC_NEXT names the
+stochastic ones for both engines.
 
 Milstein adds the derivative-of-diffusion correction for the single-noise
 system with b = (-sigma*u*v, +sigma*u*v):
@@ -121,6 +123,10 @@ def _rk4_next(u, v, dt, p: ModelParams):
             v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v))
 
 
+# the update of each stochastic scheme, read by the scalar and the lane step
+_STOCHASTIC_NEXT = {Scheme.EULER_MARUYAMA: _em_next, Scheme.MILSTEIN: _milstein_next}
+
+
 # ---------------------------------------------------------------------------
 # scalar steps
 
@@ -134,6 +140,32 @@ def _clamp_scalar(x: float) -> tuple[float, bool]:
     return 0.0, x <= -_TINY
 
 
+def _scalar_next(scheme: Scheme, u: float, v: float, dt, dB, p: ModelParams):
+    """One step of one path on Python floats: (u, v, clamped). RK4 ignores
+    dB, repairs a negativity below 1e-12 of the state scale and raises
+    IntegrationError on any other; the stochastic schemes clamp."""
+    if scheme is Scheme.RK4:
+        un, vn = _rk4_next(u, v, dt, p)
+        for x in (un, vn):
+            if not (x >= 0.0 or -x < _RK4_CLAMP_REL * max(1.0, abs(u) + abs(v))):
+                raise IntegrationError(
+                    f"RK4 step from ({u}, {v}) with dt={dt} went negative "
+                    f"({x}); reduce the step size"
+                )
+        return un if un >= 0.0 else 0.0, vn if vn >= 0.0 else 0.0, False
+    un, vn = _STOCHASTIC_NEXT[scheme](u, v, dt, dB, p)
+    un, cu = _clamp_scalar(un)
+    vn, cv = _clamp_scalar(vn)
+    return un, vn, cu or cv
+
+
+def _step(scheme: Scheme, s: State, dt: float, dB, p: ModelParams) -> tuple[State, bool]:
+    if not brownian._positive_finite(dt):
+        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
+    un, vn, clamped = _scalar_next(scheme, float(s[0]), float(s[1]), dt, dB, p)
+    return State(un, vn), clamped
+
+
 def step_rk4(s: State, dt: float, p: ModelParams) -> State:
     """One classical fourth-order Runge-Kutta step of the noise-free system.
 
@@ -141,34 +173,13 @@ def step_rk4(s: State, dt: float, p: ModelParams) -> State:
     scale (1e-12 of the state magnitude), or NaN: that is a step-size
     problem, not something to silently repair.
     """
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    u, v = float(s[0]), float(s[1])
-    un, vn = _rk4_next(u, v, dt, p)
-    scale = max(1.0, abs(u) + abs(v))
-    out = []
-    for x in (un, vn):
-        if not x >= 0.0:
-            if -x < _RK4_CLAMP_REL * scale:
-                x = 0.0
-            else:
-                raise IntegrationError(
-                    f"RK4 step from ({u}, {v}) with dt={dt} went negative "
-                    f"({x}); reduce the step size"
-                )
-        out.append(x)
-    return State(out[0], out[1])
+    return _step(Scheme.RK4, s, dt, None, p)[0]
 
 
 def step_em(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
     """One Euler-Maruyama step; returns (new state, clamped flag), or
     raises IntegrationError when a component goes NaN or -inf."""
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    un, vn = _em_next(float(s[0]), float(s[1]), dt, dB, p)
-    un, cu = _clamp_scalar(un)
-    vn, cv = _clamp_scalar(vn)
-    return State(un, vn), cu or cv
+    return _step(Scheme.EULER_MARUYAMA, s, dt, dB, p)
 
 
 def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
@@ -178,12 +189,7 @@ def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State
     correction factor vanishes. Raises IntegrationError when a component
     goes NaN or -inf.
     """
-    if not dt > 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    un, vn = _milstein_next(float(s[0]), float(s[1]), dt, dB, p)
-    un, cu = _clamp_scalar(un)
-    vn, cv = _clamp_scalar(vn)
-    return State(un, vn), cu or cv
+    return _step(Scheme.MILSTEIN, s, dt, dB, p)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +353,14 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
             raise ParameterError(
                 f"path covers {path.n_steps} steps, {n_steps} needed")
         noise = path.increments[:n_steps].tolist()
-        stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
     else:
         if path is not None:
             raise ParameterError("deterministic RK4 takes no driving path")
         noise = itertools.repeat(None)
 
-        def stepper(s, dt, _, p):
-            return step_rk4(s, dt, p), None
-
     def step(k, u, v, dB):
         try:
-            (un, vn), clamped = stepper(State(u, v), dt, dB, p)
+            un, vn, clamped = _scalar_next(scheme, u, v, dt, dB, p)
         except IntegrationError as exc:
             raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
         if clamped:
@@ -481,10 +483,7 @@ def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
     """One clamped Euler-Maruyama or Milstein step of lane arrays: (u, v,
     clamp events, failed lanes), the masks None when no lane clamped or
     failed. dt may be a column that gives each row its own step."""
-    if scheme is Scheme.EULER_MARUYAMA:
-        un, vn = _em_next(u, v, dt, dB, coeffs)
-    else:
-        un, vn = _milstein_next(u, v, dt, dB, coeffs)
+    un, vn = _STOCHASTIC_NEXT[scheme](u, v, dt, dB, coeffs)
     un, ev_u, bad_u = _clamp_array(un)
     vn, ev_v, bad_v = _clamp_array(vn)
     return un, vn, _union(ev_u, ev_v), _union(bad_u, bad_v)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 _NAMES = ("fig1", "fig2")
@@ -13,10 +12,9 @@ def available() -> tuple[str, ...]:
 
 
 def bundled_path(name: str) -> Path | None:
-    """Resolve a bundled scenario by name ('fig1' or 'fig1.json')."""
+    """Resolve a bundled scenario by name ('fig1' or 'fig1.json'); the
+    configs are installed as files beside this module."""
     stem = name[:-5] if name.endswith(".json") else name
     if stem not in _NAMES:
         return None
-    ref = resources.files(__package__) / f"{stem}.json"
-    with resources.as_file(ref) as path:
-        return Path(path)
+    return Path(__file__).with_name(f"{stem}.json")

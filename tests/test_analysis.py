@@ -477,12 +477,17 @@ def test_regime_map_rejects_empty_grids():
 
 
 @pytest.mark.parametrize("bad", [dict(horizon=0.0), dict(x0=State(-1.0, 1.0)),
-                                 dict(n_paths=0)])
+                                 dict(n_paths=0), dict(seed=-1),
+                                 # no valid cell (sigma = 0), so no batch runs
+                                 dict(sigma_grid=[0.0], x0=State(-1.0, 1.0)),
+                                 dict(sigma_grid=[0.0], x0=State(math.nan, 1.0)),
+                                 dict(sigma_grid=[0.0], n_paths=-3),
+                                 dict(sigma_grid=[0.0], seed=-1)])
 def test_regime_map_raises_on_a_bad_input_every_cell_shares(bad):
-    kwargs = dict(scheme=Scheme.MILSTEIN, x0=State(50.0, 10.0), horizon=1.0,
-                  dt=0.01, n_paths=2, seed=1)
+    kwargs = dict(sigma_grid=[0.09], scheme=Scheme.MILSTEIN, x0=State(50.0, 10.0),
+                  horizon=1.0, dt=0.01, n_paths=2, seed=1)
     with pytest.raises(ParameterError):
-        regime_map(P_FIG1, m_grid=[0.001], sigma_grid=[0.09], **{**kwargs, **bad})
+        regime_map(P_FIG1, m_grid=[0.001], **{**kwargs, **bad})
 
 
 def test_regime_cells_csv_layout(tmp_path):

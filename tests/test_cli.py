@@ -151,6 +151,17 @@ def test_a_step_count_no_array_can_index_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: horizon 1e+300 / dt 1e-05 is ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_records_that_cannot_be_allocated_exit_2(tmp_path, capsys, command):
+    # 10^15 steps: few enough to index, far too many rows to allocate, so
+    # the records' allocation fails at once
+    cfg = write_config(tmp_path, horizon=1e12, dt=0.001, record_stride=None)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,artifact", [("thresholds", "thresholds.json"),
                                               ("ensemble", "ensemble.csv")])
 def test_unwritable_artifact_exits_2(tmp_path, capsys, command, artifact):

@@ -88,9 +88,15 @@ def test_simulate_rk4_failure_names_its_time():
     assert str(exc.value).startswith("at t=0.0: RK4 step from")
 
 
-def test_rk4_rejects_nonpositive_dt():
+@pytest.mark.parametrize("step", [lambda s, dt: step_rk4(s, dt, P_FIG2),
+                                  lambda s, dt: step_em(s, dt, 0.01, P_FIG2),
+                                  lambda s, dt: step_milstein(s, dt, 0.01, P_FIG2)],
+                         ids=["rk4", "em", "milstein"])
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, True, 10**400],
+                         ids=["zero", "negative", "nan", "inf", "bool", "past_double"])
+def test_public_steps_reject_a_dt_that_is_not_positive_finite(step, dt):
     with pytest.raises(ParameterError):
-        step_rk4(State(1.0, 1.0), 0.0, P_FIG2)
+        step(State(1.0, 1.0), dt)
 
 
 # ---------------------------------------------------------------------------
