@@ -46,13 +46,14 @@ PERSIST_EPS_DEFAULT = 1e-1
 def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
                    x0: State, horizon: float, dt: float, n_paths: int,
                    seed: int, record_stride: int = 1, *,
-                   outputs: Collection[str] = _OUTPUTS) -> BatchResult:
+                   outputs: Collection[str] = _OUTPUTS, recorder=None) -> BatchResult:
     """Run n_paths independent trajectories (path_index 0 .. n_paths-1).
 
     Given a sequence of params, every set runs as one row of a multi-cell
     batch, and path i of every cell is driven by the same (seed, i)
-    increments: common random numbers, drawn once. outputs is passed to
-    run_batch, which raises a failure, or for a sequence records it.
+    increments: common random numbers, drawn once. outputs and recorder
+    are passed to run_batch, which raises a failure, or for a sequence
+    records it.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
@@ -62,7 +63,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     v0 = np.full(lanes, float(x0[1]))
     dW = brownian.NoiseStream(seed, n_paths, dt, n_steps) if scheme.is_stochastic else None
     return run_batch(scheme, p, u0, v0, horizon, dt, dW,
-                     record_stride=record_stride, outputs=outputs)
+                     record_stride=record_stride, outputs=outputs, recorder=recorder)
 
 
 @dataclass
@@ -99,18 +100,45 @@ class EnsembleStats:
             fp.write(",".join(repr(float(c[i])) for c in cols) + "\n")
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
-    """Nearest-rank quantile along axis 0 of an already sorted matrix."""
-    n = sorted_values.shape[0]
-    rank = max(1, math.ceil(q * n))
-    return sorted_values[rank - 1]
+def _path_sum(x: np.ndarray):
+    """+0.0 + x[0] + x[1] + ..., left to right: the sum that U.sum(axis=0)
+    takes down a C-ordered (paths, rows) matrix, bit for bit. x.sum() adds
+    pairwise and differs in the last bits; np.cumsum is the same running
+    sum, behind a Python wrapper that costs a third more at 1000 paths."""
+    return 0.0 + np.add.accumulate(x)[-1]
 
 
-def _population_std(values: np.ndarray) -> np.ndarray:
-    """Column stds, shifted by the first row so identical paths give exact 0."""
-    shifted = values - values[0]
-    center = shifted.mean(axis=0)
-    return np.sqrt(np.mean((shifted - center) ** 2, axis=0))
+class _RowStats:
+    """ensemble's recorder: it reduces each recorded row of a single-cell
+    run to EnsembleStats' columns as the time loop reaches it, so the run
+    holds the lane state and the statistics, never a records matrix.
+
+    Each mean is the row's _path_sum divided by n, as U.mean(axis=0) takes
+    it; the std is taken likewise, of the row shifted by its path 0 value,
+    so identical paths give an exact 0; the quantiles are nearest ranks of
+    the sorted row. So the columns have the bits of the same reductions
+    over the whole records matrix.
+    """
+
+    def open(self, lanes: tuple[int, ...], n_rows: int) -> None:
+        (self.n,) = lanes
+        self.ranks = np.array([max(1, math.ceil(q * self.n)) - 1
+                               for q in (0.05, 0.50, 0.95)])
+        # (u, v) x (mean, std, q05, q50, q95), EnsembleStats' field order, x
+        # rows; allocated before the first step, so rows that cannot fit
+        # fail at once, as records do
+        self.columns = np.empty((2, 5, n_rows))
+        self.row = 0
+
+    def put(self, u: np.ndarray, v: np.ndarray, clamped) -> None:
+        n, i = self.n, self.row
+        for x, out in zip((u, v), self.columns):
+            shifted = x - x[0]
+            centred = shifted - _path_sum(shifted) / n
+            out[0, i] = _path_sum(x) / n
+            out[1, i] = np.sqrt(_path_sum(centred ** 2) / n)
+            out[2:, i] = np.sort(x)[self.ranks]
+        self.row = i + 1
 
 
 def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
@@ -118,30 +146,18 @@ def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
              record_stride: int = 1) -> EnsembleStats:
     """Aggregate n_paths independent trajectories into per-time statistics.
 
-    The statistics read only the records and the clamp counts, so the run
-    keeps none of the per-path accumulators."""
+    Each recorded row is reduced as the time loop reaches it (see
+    _RowStats), so memory grows as paths + rows, not paths x rows. The
+    statistics have the bits of a reduction over the full U and V of
+    simulate_paths; the clamp rate reads the final clamp counts, and the
+    run keeps none of the per-path accumulators.
+    """
+    stats = _RowStats()
     batch = simulate_paths(p, scheme, x0, horizon, dt, n_paths, seed,
-                           record_stride=record_stride, outputs=())
-    u_mean, u_std = batch.U.mean(axis=0), _population_std(batch.U)
-    v_mean, v_std = batch.V.mean(axis=0), _population_std(batch.V)
-    # the batch is not used again, so its records are sorted in place
-    batch.U.sort(axis=0)
-    batch.V.sort(axis=0)
+                           record_stride=record_stride, outputs=(), recorder=stats)
     return EnsembleStats(
-        times=batch.times,
-        u_mean=u_mean,
-        u_std=u_std,
-        u_q05=_nearest_rank(batch.U, 0.05),
-        u_q50=_nearest_rank(batch.U, 0.50),
-        u_q95=_nearest_rank(batch.U, 0.95),
-        v_mean=v_mean,
-        v_std=v_std,
-        v_q05=_nearest_rank(batch.V, 0.05),
-        v_q50=_nearest_rank(batch.V, 0.50),
-        v_q95=_nearest_rank(batch.V, 0.95),
-        n_paths=batch.n_paths,
-        clamp_rate=float(np.count_nonzero(batch.clamp_counts > 0)) / batch.n_paths,
-    )
+        batch.times, *stats.columns[0], *stats.columns[1], n_paths=batch.n_paths,
+        clamp_rate=float(np.count_nonzero(batch.clamp_counts > 0)) / batch.n_paths)
 
 
 def time_average(traj: Trajectory, component: str) -> float:

@@ -140,11 +140,14 @@ def _clamp_scalar(x: float) -> tuple[float, bool]:
     return 0.0, x <= -_TINY
 
 
-def _scalar_next(scheme: Scheme, u: float, v: float, dt, dB, p: ModelParams):
-    """One step of one path on Python floats: (u, v, clamped). RK4 ignores
-    dB, repairs a negativity below 1e-12 of the state scale and raises
-    IntegrationError on any other; the stochastic schemes clamp."""
-    if scheme is Scheme.RK4:
+def _scalar_next(update, u: float, v: float, dt, dB, p: ModelParams):
+    """One step of one path on Python floats: (u, v, clamped). update is
+    the scheme's entry in _STOCHASTIC_NEXT, or None for RK4, looked up once
+    by the caller: an Enum's class attributes and hash are slow Python
+    code. RK4 ignores dB, repairs a negativity below 1e-12 of the state
+    scale and raises IntegrationError on any other; the stochastic schemes
+    clamp."""
+    if update is None:
         un, vn = _rk4_next(u, v, dt, p)
         for x in (un, vn):
             if not (x >= 0.0 or -x < _RK4_CLAMP_REL * max(1.0, abs(u) + abs(v))):
@@ -153,16 +156,16 @@ def _scalar_next(scheme: Scheme, u: float, v: float, dt, dB, p: ModelParams):
                     f"({x}); reduce the step size"
                 )
         return un if un >= 0.0 else 0.0, vn if vn >= 0.0 else 0.0, False
-    un, vn = _STOCHASTIC_NEXT[scheme](u, v, dt, dB, p)
+    un, vn = update(u, v, dt, dB, p)
     un, cu = _clamp_scalar(un)
     vn, cv = _clamp_scalar(vn)
     return un, vn, cu or cv
 
 
-def _step(scheme: Scheme, s: State, dt: float, dB, p: ModelParams) -> tuple[State, bool]:
+def _step(update, s: State, dt: float, dB, p: ModelParams) -> tuple[State, bool]:
     if not brownian._positive_finite(dt):
         raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
-    un, vn, clamped = _scalar_next(scheme, float(s[0]), float(s[1]), dt, dB, p)
+    un, vn, clamped = _scalar_next(update, float(s[0]), float(s[1]), dt, dB, p)
     return State(un, vn), clamped
 
 
@@ -173,13 +176,13 @@ def step_rk4(s: State, dt: float, p: ModelParams) -> State:
     scale (1e-12 of the state magnitude), or NaN: that is a step-size
     problem, not something to silently repair.
     """
-    return _step(Scheme.RK4, s, dt, None, p)[0]
+    return _step(None, s, dt, None, p)[0]
 
 
 def step_em(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
     """One Euler-Maruyama step; returns (new state, clamped flag), or
     raises IntegrationError when a component goes NaN or -inf."""
-    return _step(Scheme.EULER_MARUYAMA, s, dt, dB, p)
+    return _step(_em_next, s, dt, dB, p)
 
 
 def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
@@ -189,7 +192,7 @@ def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State
     correction factor vanishes. Raises IntegrationError when a component
     goes NaN or -inf.
     """
-    return _step(Scheme.MILSTEIN, s, dt, dB, p)
+    return _step(_milstein_next, s, dt, dB, p)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +279,29 @@ def _check_stride(n_steps: int, record_stride: int) -> None:
         )
 
 
+class _Records:
+    """The default recorder: it keeps every recorded row, as the columns of
+    U, V and clamped, of shape lanes + (n_rows,)."""
+
+    def open(self, lanes: tuple[int, ...], n_rows: int) -> None:
+        self.U = np.empty(lanes + (n_rows,))
+        self.V = np.empty(lanes + (n_rows,))
+        self.clamped = np.empty(lanes + (n_rows,), dtype=bool)
+        # time-major views: row i of each is recorded column i
+        self._rows = [np.moveaxis(a, -1, 0) for a in (self.U, self.V, self.clamped)]
+        self._row = 0
+
+    def put(self, u, v, clamped) -> None:
+        rows_u, rows_v, rows_clamped = self._rows
+        i = self._row
+        rows_u[i] = u
+        rows_v[i] = v
+        rows_clamped[i] = clamped
+        self._row = i + 1
+
+
 def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
-             outputs: Collection[str] = _OUTPUTS):
+             recorder, outputs: Collection[str] = _OUTPUTS):
     """The time loop shared by simulate and run_batch.
 
     u and v are Python floats (one path) or lane arrays. Each step calls
@@ -285,27 +309,28 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
     events of None mean that no lane clamped. Clamp counts, and those of
     the trapezoid integrals and the running max of u + v named in
     outputs, are kept at full step resolution; an accumulator not named
-    costs nothing per step and is returned as None. Every
-    record_stride-th state is recorded, and a recorded row is flagged
-    when a clamp happened since the previous recorded row. Returns the
-    fields of a BatchResult, in order.
+    costs nothing per step and is returned as None.
+
+    The loop keeps no records: it hands each recorded row to recorder as
+    it reaches it. recorder.open(lanes, n_rows) is called before the first
+    step, with the lane shape (() for floats) and the number of rows; then
+    recorder.put(u, v, clamped) is called with row 0, the initial state,
+    and with every record_stride-th state after it. clamped is the mask of
+    the lanes (a bool on floats) that clamped since the previous row. The
+    arrays are the loop's own, and a recorder must not write to them.
+    Returns the recorded times, the final u and v, the clamp counts and
+    the three accumulators.
     """
     lanes = np.shape(u)  # () for one scalar path
     # on floats, builtin max() costs about 0.25 us a step more than this
     peak = np.maximum if lanes else (lambda a, b: b if b > a else a)
-    n_rec = n_steps // record_stride + 1
-    U = np.empty(lanes + (n_rec,))
-    V = np.empty(lanes + (n_rec,))
-    flags = np.zeros(lanes + (n_rec,), dtype=bool)
-    # time-major views: row i of each is recorded column i of the output
-    rows_u, rows_v, rows_flag = (np.moveaxis(a, -1, 0) for a in (U, V, flags))
-    rows_u[0] = u
-    rows_v[0] = v
+    recorder.open(lanes, n_steps // record_stride + 1)
+    put = recorder.put
     counts = last = np.zeros(lanes, dtype=np.int64) if lanes else 0
+    put(u, v, counts != last)  # row 0: no lane has clamped
     integral_u = (np.zeros(lanes) if lanes else 0.0) if "integral_u" in outputs else None
     integral_v = (np.zeros(lanes) if lanes else 0.0) if "integral_v" in outputs else None
     max_total = u + v if "max_total" in outputs else None
-    row = 1
     for k, dB in zip(range(1, n_steps + 1), noise):
         un, vn, events = step(k, u, v, dB)
         if events is not None:
@@ -318,13 +343,10 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
         if max_total is not None:
             max_total = peak(max_total, u + v)
         if k % record_stride == 0:
-            rows_u[row] = u
-            rows_v[row] = v
-            rows_flag[row] = counts != last
+            put(u, v, counts != last)
             last = counts
-            row += 1
     times = np.arange(0, n_steps + 1, record_stride) * float(dt)
-    return times, U, V, flags, counts, integral_u, integral_v, max_total
+    return times, u, v, counts, integral_u, integral_v, max_total
 
 
 def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
@@ -357,24 +379,27 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
         if path is not None:
             raise ParameterError("deterministic RK4 takes no driving path")
         noise = itertools.repeat(None)
+    update = _STOCHASTIC_NEXT.get(scheme)
 
     def step(k, u, v, dB):
         try:
-            un, vn, clamped = _scalar_next(scheme, u, v, dt, dB, p)
+            un, vn, clamped = _scalar_next(update, u, v, dt, dB, p)
         except IntegrationError as exc:
             raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
         if clamped:
             clamp_times.append(k * dt)
         return un, vn, clamped
 
-    times, U, V, flags, count, integral_u, integral_v, max_total = _advance(
-        step, u, v, dt, n_steps, record_stride, noise)
-    for x in (U[-1], V[-1]):
+    records = _Records()
+    times, u, v, count, integral_u, integral_v, max_total = _advance(
+        step, u, v, dt, n_steps, record_stride, noise, records)
+    for x in (u, v):
         if not math.isfinite(x):  # a +inf from the last step; earlier ones fail the next
             raise IntegrationError(f"at t={(n_steps - 1) * dt}: state went "
                                    f"non-finite ({x}); reduce the step size")
     return Trajectory(
-        times=times, u=U, v=V, clamped=flags, scheme=scheme, params=p,
+        times=times, u=records.U, v=records.V, clamped=records.clamped,
+        scheme=scheme, params=p,
         clamp_count=count, clamp_times=np.array(clamp_times),
         seed=path.seed if path is not None else None,
         path_index=path.path_index if path is not None else None,
@@ -393,13 +418,14 @@ class BatchResult:
     n_recorded) for a multi-cell run; the per-path arrays drop the last
     axis. Each path's column sequence is bit-identical to a scalar
     simulate() of that path alone, unless errors records a failure of its
-    row, after which the row's values mean nothing.
+    row, after which the row's values mean nothing. U, V and clamped are
+    None when a recorder took the recorded rows.
     """
 
     times: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    clamped: np.ndarray          # lane shape + (n_recorded,) bool
+    U: np.ndarray | None
+    V: np.ndarray | None
+    clamped: np.ndarray | None   # lane shape + (n_recorded,) bool
     clamp_counts: np.ndarray     # lane shape, int
     # lane shape; None when the run's outputs left them out
     integral_u: np.ndarray | None  # full-resolution trapezoids
@@ -588,7 +614,7 @@ def _noise_rows(dW, n_paths: int, n_steps: int, dt: float,
 def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
               u0: np.ndarray, v0: np.ndarray, horizon: float, dt: float,
               dW: np.ndarray | NoiseStream | None, record_stride: int = 1, *,
-              outputs: Collection[str] = _OUTPUTS) -> BatchResult:
+              outputs: Collection[str] = _OUTPUTS, recorder=None) -> BatchResult:
     """Advance many paths at once; path i uses dW[i], or column i of a stream.
 
     dW is a NoiseStream of n_paths paths at this dt and at least
@@ -604,6 +630,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     integral_v and max_total (all three by default); the others are
     skipped at every step and come back as None. The records, the clamp
     counts and every kept field have the same bits whatever is left out.
+
+    recorder, when given, takes each recorded row as the time loop reaches
+    it (see _advance for its open and put), and U, V and clamped come
+    back as None; without one, every row is kept in U, V and clamped.
 
     Aggregation-free: every per-path quantity is computed independently and
     elementwise, so results do not depend on which paths or cells share a
@@ -648,6 +678,11 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                     raise IntegrationError(errors[c])
                 xu[:] = xv[:] = 0.0
 
+    def fail_infinite(un, vn):
+        # at the last step, before its row is recorded; a +inf from an
+        # earlier step fails the next as NaN or -inf
+        fail(n_steps, ~np.isfinite(un), ~np.isfinite(vn), un, vn, _NON_FINITE)
+
     if scheme.is_stochastic:
         # multi-cell runs keep the plain step, and so do runs on user
         # matrices (an inf or NaN increment on a settled lane must still
@@ -665,6 +700,8 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                 un, vn, events, failed = lanes.step(k, u, v, dB)
             if failed is not None:
                 fail(k, failed, failed, un, vn, _NON_FINITE)
+            if k == n_steps:
+                fail_infinite(un, vn)
             return un, vn, events
     else:
         if dW is not None:
@@ -678,21 +715,24 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
             ok_v = vn >= floor
             if not (ok_u.all() and ok_v.all()):
                 fail(k, ~ok_u, ~ok_v, un, vn, "RK4 went negative at t={t} (value {x})")
-            return np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn), None
+            un, vn = np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn)
+            if k == n_steps:
+                fail_infinite(un, vn)
+            return un, vn, None
 
+    records = _Records() if recorder is None else recorder
     try:
-        times, U, V, *rest = _advance(step, u, v, dt, n_steps, record_stride,
-                                      noise, outputs)
+        times, _, _, *rest = _advance(step, u, v, dt, n_steps, record_stride,
+                                      noise, records, outputs)
     finally:
         if scheme.is_stochastic:
             # a forked noise producer ends here, not when a traceback that
             # holds this frame is dropped
             noise.close()
-    # a +inf from the last step; one from an earlier step fails the next
-    fail(n_steps, ~np.isfinite(U[..., -1]), ~np.isfinite(V[..., -1]), U[..., -1],
-         V[..., -1], _NON_FINITE)
-    return BatchResult(times, U, V, *rest, errors=tuple(errors), scheme=scheme,
-                       params=p)
+    U, V, clamped = ((records.U, records.V, records.clamped) if recorder is None
+                     else (None, None, None))
+    return BatchResult(times, U, V, clamped, *rest, errors=tuple(errors),
+                       scheme=scheme, params=p)
 
 
 def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,

@@ -180,9 +180,10 @@ def test_criterion_7_brownian_generator_statistics():
 
 
 def test_criterion_8_cli_determinism(tmp_path):
-    # the engine is single-process and strictly keyed per path_index, so no
-    # degree of concurrency can reorder its arithmetic; two full runs of
-    # every subcommand must agree byte for byte
+    # every path's noise is keyed by (seed, path_index), whichever process
+    # draws it, and the engine reduces over paths in a fixed order, so no
+    # degree of concurrency can change a bit; two full runs of every
+    # subcommand must agree byte for byte
     config = {
         "params": {"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.09},
         "x0": {"u": 50.0, "v": 10.0},

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jobmarket import (
@@ -23,7 +23,7 @@ from jobmarket import (
     run_batch,
     simulate,
 )
-from jobmarket import analysis, brownian
+from jobmarket import analysis, brownian, integrators
 from jobmarket.analysis import (
     Observation,
     StrongOrderReport,
@@ -150,6 +150,88 @@ def test_ensemble_clamp_rate_counts_clamped_paths():
     expected = np.count_nonzero(batch.clamp_counts > 0) / 16
     assert stats.clamp_rate == expected
     assert 0.0 < stats.clamp_rate <= 1.0
+
+
+# The bulk reduction over the full (paths, rows) records that ensemble took
+# before it reduced each row as the time loop reached it: the reference the
+# streamed statistics must equal bit for bit.
+
+def _nearest_rank(sorted_values: np.ndarray, q: float) -> np.ndarray:
+    """Nearest-rank quantile along axis 0 of an already sorted matrix."""
+    n = sorted_values.shape[0]
+    rank = max(1, math.ceil(q * n))
+    return sorted_values[rank - 1]
+
+
+def _population_std(values: np.ndarray) -> np.ndarray:
+    """Column stds, shifted by the first row so identical paths give exact 0."""
+    shifted = values - values[0]
+    center = shifted.mean(axis=0)
+    return np.sqrt(np.mean((shifted - center) ** 2, axis=0))
+
+
+def _reference_columns(batch) -> dict[str, np.ndarray]:
+    columns = {"times": batch.times}
+    for name, records in (("u", batch.U), ("v", batch.V)):
+        columns[f"{name}_mean"] = records.mean(axis=0)
+        columns[f"{name}_std"] = _population_std(records)
+        ordered = np.sort(records, axis=0)
+        for q in (0.05, 0.50, 0.95):
+            columns[f"{name}_q{round(100 * q):02d}"] = _nearest_rank(ordered, q)
+    return columns
+
+
+P_CLAMPING = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.5)
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
+       p=st.sampled_from([P_FIG1, P_FIG2, P_CLAMPING]),
+       x0=st.sampled_from([State(50.0, 10.0), State(100.0, 0.0), State(30.0, -0.0)]),
+       n_paths=st.sampled_from([1, 2, 19, 20, 21]),  # the nearest-rank edges
+       dt=st.sampled_from([0.01, 0.05, 0.5]), stride=st.integers(1, 5),
+       n_rows=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
+       forked=st.booleans(), step_cap=st.sampled_from([1, 3, 16, 4096]))
+# fig1 at dt 0.5: most lanes die out by t = 40 and freeze, and the split
+# step steps only the rest
+@example(scheme=Scheme.EULER_MARUYAMA, p=P_FIG1, x0=State(50.0, 10.0), n_paths=21,
+         dt=0.5, stride=4, n_rows=20, seed=3, forked=True, step_cap=16)
+@example(scheme=Scheme.MILSTEIN, p=P_FIG1, x0=State(50.0, 10.0), n_paths=20,
+         dt=0.5, stride=1, n_rows=80, seed=3, forked=False, step_cap=16)
+def test_ensemble_equals_the_bulk_reduction_of_the_records(
+        monkeypatch, forks, scheme, p, x0, n_paths, dt, stride, n_rows, seed,
+        forked, step_cap):
+    monkeypatch.setattr(brownian, "_usable_cpus", lambda: 2 if forked else 1)
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
+    monkeypatch.setattr(integrators, "_SPLIT_MIN", 1)
+    horizon = stride * n_rows * dt
+    forks_before = len(forks)
+    stats = ensemble(p, scheme, x0, horizon, dt, n_paths, seed, record_stride=stride)
+    assert len(forks) == forks_before + forked
+    batch = simulate_paths(p, scheme, x0, horizon, dt, n_paths, seed,
+                           record_stride=stride, outputs=())
+    for name, expected in _reference_columns(batch).items():
+        assert getattr(stats, name).tobytes() == expected.tobytes(), name
+    assert stats.n_paths == n_paths
+    assert stats.clamp_rate == np.count_nonzero(batch.clamp_counts > 0) / n_paths
+
+
+def test_ensemble_memory_grows_with_paths_plus_rows():
+    # fig1, 1000 paths x 10^4 steps, every step recorded: U and V alone would
+    # hold 2 x 1000 x 10001 doubles, 160 MB; the noise blocks are mapped
+    # outside tracemalloc's view, and their size is pinned elsewhere
+    n_paths, n_steps = 1000, 10**4
+    tracemalloc.start()
+    try:
+        stats = ensemble(P_FIG1, Scheme.MILSTEIN, State(50.0, 10.0), n_steps * 0.01,
+                         0.01, n_paths, 20240101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stats.times) == n_steps + 1
+    assert peak < 8e6  # the bound, set before the first run: 1/20 of the records
 
 
 def test_an_integer_dt_records_float_times():

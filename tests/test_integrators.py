@@ -829,6 +829,43 @@ def test_outputs_drop_only_the_fields_left_out(scheme, cells):
                     assert getattr(some, name) is None, (kept, name)
 
 
+class _KeptRows:
+    """A recorder that keeps a copy of every row it is handed."""
+
+    def open(self, lanes, n_rows):
+        self.opened, self.rows = (lanes, n_rows), []
+
+    def put(self, u, v, clamped):
+        self.rows.append(tuple(np.array(x, copy=True) for x in (u, v, clamped)))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cells", [(P_NOISY,), (P_FIG1, P_NOISY, P_FIG2)])
+def test_a_recorder_takes_every_row_in_place_of_the_records(scheme, cells):
+    n_paths, horizon, dt = 4, 2.0, 0.01
+    u0 = np.linspace(1.0, 60.0, n_paths)
+    v0 = np.linspace(12.0, 0.5, n_paths)
+    p = cells[0] if len(cells) == 1 else list(cells)
+    if len(cells) > 1:
+        u0, v0 = np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
+    dW = _noise_matrix(5, n_paths, dt, round(horizon / dt)) if scheme.is_stochastic else None
+    full = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10)
+    recorder = _KeptRows()
+    taken = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10,
+                      recorder=recorder)
+    assert taken.U is None and taken.V is None and taken.clamped is None
+    assert recorder.opened == (u0.shape, len(full.times))
+    # row i of the recorder is column i of the records, row 0 included
+    for i, row in enumerate(recorder.rows):
+        for x, records in zip(row, (full.U, full.V, full.clamped)):
+            assert x.tobytes() == np.ascontiguousarray(records[..., i]).tobytes(), i
+    assert len(recorder.rows) == len(full.times)
+    for name in ("times", "clamp_counts", *_ACCUMULATORS):
+        assert getattr(taken, name).tobytes() == getattr(full, name).tobytes(), name
+    if scheme.is_stochastic:
+        assert full.clamped[..., 1:].any()
+
+
 def test_outputs_rejects_an_unknown_name():
     with pytest.raises(ParameterError, match="integral_w"):
         run_batch(Scheme.MILSTEIN, P_FIG1, np.ones(2), np.ones(2), 1.0, 0.01,
@@ -921,6 +958,15 @@ def test_a_plus_inf_on_the_last_step_fails_the_run():
             run_batch(Scheme.EULER_MARUYAMA, P_OVERFLOW, np.array([1e308]), np.zeros(1),
                       n_steps * 0.01, 0.01, np.zeros((1, n_steps)))
         assert str(exc.value) == f"path 0: state went non-finite at t={t}; reduce the step size"
+    # a multi-cell run fails the row before the last row is recorded, so the
+    # record ends where the row is parked, as after a failure at any step
+    with pytest.warns(RuntimeWarning):
+        batch = run_batch(Scheme.EULER_MARUYAMA, [P_FIG1, P_OVERFLOW],
+                          np.array([[50.0], [1e308]]), np.array([[10.0], [0.0]]),
+                          0.01, 0.01, np.zeros((1, 1)))
+    assert batch.errors == (None, "path 0: state went non-finite at t=0.0; "
+                                  "reduce the step size")
+    assert batch.U[1, 0, -1] == batch.V[1, 0, -1] == 0.0
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError):
         _coupled_terminals(Scheme.EULER_MARUYAMA, P_OVERFLOW, np.array([1e308]),
                            np.zeros(1), 0.01, np.zeros((1, 1)), 1, 0)
