@@ -133,10 +133,11 @@ class _RowStats:
     def put(self, u: np.ndarray, v: np.ndarray, clamped) -> None:
         n, i = self.n, self.row
         for x, out in zip((u, v), self.columns):
-            shifted = x - x[0]
-            centred = shifted - _path_sum(shifted) / n
+            centred = x - x[0]
+            centred -= _path_sum(centred) / n
+            centred *= centred  # centred ** 2, bit for bit
             out[0, i] = _path_sum(x) / n
-            out[1, i] = np.sqrt(_path_sum(centred ** 2) / n)
+            out[1, i] = np.sqrt(_path_sum(centred) / n)
             out[2:, i] = np.sort(x)[self.ranks]
         self.row = i + 1
 

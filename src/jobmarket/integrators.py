@@ -9,6 +9,17 @@ the Brownian increment. Each update is written once, for Python floats
 (one path) and lane arrays alike, and _STOCHASTIC_NEXT names the
 stochastic ones for both engines.
 
+An update writes only into arrays it made itself. Each result starts as
+a fresh value, made by its expression's first operation, and every later
+operation updates it by augmented assignment: u + du*dt becomes
+du *= dt; du += u. The operations are the plain expression's, in its
+order; only the two operands of a + or * may trade places, which rounds
+alike, so the bits are the plain expression's (a NaN's sign aside, which
+numpy's add does not fix either). On floats, x *= y rebinds the name; on
+lane arrays it writes in place and saves allocating an array per
+operation. The inputs are never written: dB is a row of the noise
+stream's block, and a settled lane keeps stepping on it.
+
 Milstein adds the derivative-of-diffusion correction for the single-noise
 system with b = (-sigma*u*v, +sigma*u*v):
 
@@ -98,19 +109,37 @@ class Scheme(Enum):
 # shared update expressions (work elementwise on floats and on arrays)
 
 def _em_next(u, v, dt, dB, p: ModelParams):
+    # u + du*dt - noise and v + dv*dt + noise, into drift's fresh arrays
     du, dv = drift((u, v), p)
-    noise = (p.sigma * u * v) * dB
-    return u + du * dt - noise, v + dv * dt + noise
+    noise = p.sigma * u
+    noise *= v
+    noise *= dB
+    du *= dt
+    du += u
+    du -= noise
+    dv *= dt
+    dv += v
+    dv += noise
+    return du, dv
 
 
 def _milstein_corr(u, v, dt, dB, p: ModelParams):
-    return p.half_sigma_sq * u * v * (v - u) * (dB * dB - dt)
+    # half_sigma_sq*u*v*(v - u)*(dB*dB - dt)
+    corr = p.half_sigma_sq * u
+    corr *= v
+    corr *= v - u
+    spread = dB * dB
+    spread -= dt
+    corr *= spread
+    return corr
 
 
 def _milstein_next(u, v, dt, dB, p: ModelParams):
     un, vn = _em_next(u, v, dt, dB, p)
     corr = _milstein_corr(u, v, dt, dB, p)
-    return un + corr, vn - corr
+    un += corr
+    vn -= corr
+    return un, vn
 
 
 def _rk4_next(u, v, dt, p: ModelParams):
@@ -336,9 +365,15 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
         if events is not None:
             counts = counts + events
         if integral_u is not None:
-            integral_u += 0.5 * (u + un) * dt
+            trapezoid = u + un
+            trapezoid *= 0.5
+            trapezoid *= dt
+            integral_u += trapezoid
         if integral_v is not None:
-            integral_v += 0.5 * (v + vn) * dt
+            trapezoid = v + vn
+            trapezoid *= 0.5
+            trapezoid *= dt
+            integral_v += trapezoid
         u, v = un, vn
         if max_total is not None:
             max_total = peak(max_total, u + v)

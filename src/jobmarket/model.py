@@ -168,10 +168,20 @@ def drift(s: State, p: ModelParams) -> tuple[float, float]:
     Returns (r*u*(1 - u/K) - m*u*v, m*u*v - d*v). The matching flux
     m*u*v is computed once and reused so that the two components cancel
     it exactly in floating point when summed.
+
+    u and v are floats or arrays that broadcast together. On arrays, each
+    component is a fresh array of their broadcast shape, which a caller
+    may write into; neither is u or v.
     """
     u, v = s
+    # the operations that first meet v write new arrays, of the broadcast
+    # shape, so a u narrower than v broadcasts as in the plain expression
     coupling = p.m * u * v
-    return (p.r * u * (1.0 - u / p.K) - coupling, coupling - p.d * v)
+    du = p.r * u
+    du *= 1.0 - u / p.K
+    du = du - coupling
+    coupling -= p.d * v  # dv, in the flux's own array once du has read it
+    return du, coupling
 
 
 def diffusion(s: State, p: ModelParams) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from jobmarket import (
     ParameterError,
     Scheme,
     State,
+    drift,
     generate,
     run_batch,
     simulate,
@@ -30,6 +31,8 @@ from jobmarket.brownian import NoiseStream
 from jobmarket.integrators import (_clamp_array, _coupled_terminals, _em_next,
                                   _milstein_corr, _milstein_next, _stack_params,
                                   _stochastic_next)
+
+import updates
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
@@ -794,6 +797,68 @@ def test_stochastic_next_cancels_noise_from_the_total_on_every_free_lane(
                                np.abs(dv) * dt, u + v, np.abs(balance)])
     error = np.abs((un + vn) - (u + v) - balance)
     assert np.all(error[free] <= 4.0 * np.spacing(scale[free]))
+
+
+# ---------------------------------------------------------------------------
+# the updates write only into arrays they made themselves
+
+_UPDATES = {  # each update and its out-of-place reference
+    "drift": (lambda u, v, dt, dB, p: drift((u, v), p),
+              lambda u, v, dt, dB, p: updates.drift((u, v), p)),
+    "euler_maruyama": (_em_next, updates.em_next),
+    "milstein": (_milstein_next, updates.milstein_next),
+}
+
+
+def _update_inputs(layout, data):
+    """(u, v, dt, dB, coefficients, block) in one of the layouts the engines
+    step: Python floats (simulate); 1-D lanes (run_batch); (cells, n) lanes
+    under stacked params with one increment row for every cell (a sweep);
+    (levels, n) lanes with a dt column and a row of increments per level
+    (_coupled_terminals). dB is a row of block, as the engine's noise rows
+    are rows of a block."""
+    cells = data.draw(st.lists(_BALANCE_PARAMS, min_size=1, max_size=3), label="cells")
+    dt = data.draw(st.sampled_from([0.01, 0.5, 2.0 ** -11]), label="dt")
+    if layout == "floats":
+        u, v, dB = (data.draw(_VALUES, label=name) for name in ("u", "v", "dB"))
+        return u, v, dt, dB, cells[0], None
+    n = data.draw(st.integers(1, 6), label="n")
+    coeffs, lanes, rows = cells[0], (n,), (n,)
+    if layout == "cells":
+        coeffs, lanes = _stack_params(tuple(cells)), (len(cells), n)
+    elif layout == "levels":
+        lanes = rows = (len(cells), n)
+        dt = np.array([[dt * 2 ** level] for level in range(len(cells))])
+    u, v = (data.draw(arrays(float, lanes, elements=_VALUES), label=name)
+            for name in ("u", "v"))
+    block = data.draw(arrays(float, (3,) + rows, elements=_VALUES), label="block")
+    return u, v, dt, block[1], coeffs, block
+
+
+def _one_nan(x):
+    """x with every NaN as np.nan. Which operand's NaN numpy's add returns
+    depends on the array's length and on whether it writes in place (a
+    1-lane a + b and a += b differ), so a NaN's sign and payload are not
+    part of the updates' bits; a NaN lane fails its run either way."""
+    return np.where(np.isnan(x), np.nan, x)
+
+
+@settings(max_examples=300)
+@given(layout=st.sampled_from(["floats", "lanes", "cells", "levels"]),
+       update=st.sampled_from(sorted(_UPDATES)), data=st.data())
+def test_updates_equal_the_out_of_place_reference_and_keep_their_inputs(layout, update,
+                                                                        data):
+    u, v, dt, dB, coeffs, block = _update_inputs(layout, data)
+    inputs = [x for x in (u, v, dt, dB, block, *vars(coeffs).values()) if x is not None]
+    before = [_bits(x) for x in inputs]
+    step, reference = _UPDATES[update]
+    with np.errstate(all="ignore"):
+        got = step(u, v, dt, dB, coeffs)
+        want = reference(u, v, dt, dB, coeffs)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert _bits(_one_nan(g)) == _bits(_one_nan(w))
+    assert [_bits(x) for x in inputs] == before
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from jobmarket import (
     ultimate_bound,
 )
 
+from updates import drift as reference_drift
+
 P_EXTINCT = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_PERSIST = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
 
@@ -99,6 +101,31 @@ def test_drift_components_by_hand():
     du, dv = drift(State(10.0, 5.0), ModelParams(1.0, 100.0, 0.1, 0.2, 0.09))
     assert du == 9.0 - 5.0
     assert dv == 5.0 - 1.0
+
+
+_ROW = np.array([0.0, 2.0, 120.0])
+_GRID = np.array([[9.8, -0.0, 1e300], [0.5, 3.0, np.inf]])
+
+
+@pytest.mark.parametrize("u, v", [
+    (_ROW, _GRID),                  # v wider than u
+    (_GRID, _ROW),                  # u wider than v
+    (37.5, _GRID), (_ROW, 9.8),     # a float against lanes
+    (np.array(37.5), _GRID), (_ROW, np.array(9.8)),  # 0-d against lanes
+    (np.float64(2.0), 9.8),
+])
+def test_drift_broadcasts_into_fresh_arrays(u, v):
+    before = [np.asarray(x).tobytes() for x in (u, v)]
+    with np.errstate(all="ignore"):
+        got = drift((u, v), P_PERSIST)
+        want = reference_drift((u, v), P_PERSIST)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    for g, w in zip(got, want):
+        # the reference's shape and bits, in an array that is neither input
+        assert np.shape(g) == shape and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert not (np.shares_memory(g, u) or np.shares_memory(g, v))
+    assert not np.shares_memory(*got)
+    assert [np.asarray(x).tobytes() for x in (u, v)] == before
 
 
 def test_diffusion_is_antisymmetric_pair():
