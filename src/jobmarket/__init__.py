@@ -3,6 +3,8 @@ driven by a single multiplicative Brownian noise.
 
 The package is organised bottom-up:
 
+  _rules       the type and range rules of every input, and the scheme
+               names; no numpy
   model        parameters, vector fields, closed-form regime thresholds
   brownian     reproducible keyed Brownian increment streams
   integrators  RK4 / Euler-Maruyama / Milstein stepping and trajectories
@@ -13,22 +15,12 @@ The package is organised bottom-up:
 
 __version__ = "0.1.0"
 
-from .brownian import BrownianPath, generate
+from ._rules import Scheme
 from .errors import (
     IntegrationError,
     JobMarketError,
     ParameterError,
     ZeroNoiseError,
-)
-from .integrators import (
-    BatchResult,
-    Scheme,
-    Trajectory,
-    run_batch,
-    simulate,
-    step_em,
-    step_milstein,
-    step_rk4,
 )
 from .model import (
     ModelParams,
@@ -44,6 +36,31 @@ from .model import (
     r0s,
     ultimate_bound,
 )
+
+# the names whose modules import numpy, loaded on first access (PEP 562), so
+# that importing the package, or the CLI, costs no numpy import
+_LAZY = {
+    "BrownianPath": "brownian", "generate": "brownian",
+    "BatchResult": "integrators", "Trajectory": "integrators",
+    "run_batch": "integrators", "simulate": "integrators",
+    "step_em": "integrators", "step_milstein": "integrators",
+    "step_rk4": "integrators",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

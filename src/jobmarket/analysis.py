@@ -16,9 +16,11 @@ from typing import Collection, Sequence, TextIO
 import numpy as np
 
 from . import brownian
+from ._rules import (_check_initial, _check_levels, _check_paths, _positive_int,
+                     _resolve_steps)
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory, _check_initial,
-                          _coupled_terminals, _resolve_steps, run_batch)
+from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory, _coupled_terminals,
+                          run_batch)
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
 __all__ = [
@@ -55,8 +57,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     are passed to run_batch, which raises a failure, or for a sequence
     records it.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
-        raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
+    _positive_int("n_paths", n_paths)
     n_steps = _resolve_steps(horizon, dt)
     lanes = (n_paths,) if isinstance(p, ModelParams) else (len(p), n_paths)
     u0 = np.full(lanes, float(x0[0]))
@@ -265,8 +266,7 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     if scheme is Scheme.RK4:
         raise ParameterError("strong_order measures stochastic schemes; "
                              "RK4 has no driving path to couple")
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 3:
-        raise ParameterError(f"levels must be an integer >= 3, got {levels!r}")
+    _check_levels(levels)
     n_fine = _resolve_steps(horizon, dt_fine)
     if n_fine % (2 ** levels) != 0:
         raise ParameterError(
@@ -355,8 +355,7 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
         raise ParameterError("m_grid and sigma_grid must be nonempty")
     record_stride = _resolve_steps(horizon, dt)  # the terminal state only
     _check_initial(*x0)
-    # checks seed and n_paths, which no cell may fail on its own; draws nothing
-    brownian.NoiseStream(seed, n_paths, dt, record_stride)
+    _check_paths(seed, n_paths)  # which no cell may fail on its own
     grid = [(m, sigma) for m in m_grid for sigma in sigma_grid]
     cells: dict[int, RegimeCell] = {}
     valid: dict[int, tuple[ModelParams, Regime]] = {}

@@ -24,13 +24,12 @@ import math
 import mmap
 import os
 import signal
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from ._rules import _check_stream, _positive_int
 
 __all__ = ["BrownianPath", "NoiseStream", "generate"]
 
@@ -60,29 +59,6 @@ class BrownianPath:
     def horizon(self) -> float:
         """Covered time span, n_steps * dt."""
         return self.n_steps * self.dt
-
-
-def _positive_finite(x) -> bool:
-    """True for an int or float, not a bool, in (0, DBL_MAX]: the rule for
-    dt and horizon. False, not an error, on NaN, inf and ints past a double."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and 0.0 < x <= sys.float_info.max)
-
-
-def _validate(seed: int, path_index: int, dt: float, n_steps: int) -> float:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must fit in 64 bits, got {seed}")
-    if isinstance(path_index, bool) or not isinstance(path_index, int):
-        raise ParameterError(f"path_index must be an integer, got {path_index!r}")
-    if not 0 <= path_index < 2**32:
-        raise ParameterError(f"path_index must fit in 32 bits, got {path_index}")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not _positive_finite(dt):
-        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
-    return float(dt)
 
 
 def _mapped(*shape: int, dtype=float) -> np.ndarray:
@@ -185,7 +161,7 @@ def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPat
     Deterministic: the same key always yields the same bits, independent of
     any other stream that has been drawn from.
     """
-    dt = _validate(seed, path_index, dt, n_steps)
+    dt = _check_stream(seed, path_index, dt, n_steps)
     increments = next(_blocks(seed, [path_index], n_steps, _mapped(1, n_steps)))[0]
     increments *= math.sqrt(dt)
     increments.flags.writeable = False
@@ -272,9 +248,8 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, n_paths: int, dt: float, n_steps: int):
-        if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
-            raise ParameterError(f"n_paths must be a positive integer, got {n_paths!r}")
-        self.dt = _validate(seed, n_paths - 1, dt, n_steps)
+        _positive_int("n_paths", n_paths)
+        self.dt = _check_stream(seed, n_paths - 1, dt, n_steps)
         self.seed, self.n_paths, self.n_steps = seed, n_paths, n_steps
         self._forks = (hasattr(os, "fork") and n_paths * n_steps >= _FORK_MIN
                        and _usable_cpus() >= 2)

@@ -20,10 +20,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
-from . import __version__, analysis, brownian, scenarios
+# no numpy at import: analysis, brownian and integrators load it, so only
+# the handlers that step import them, and --help, thresholds and a config
+# error run without numpy
+from . import __version__, scenarios
+from ._rules import (Scheme, _as_finite_float, _check_initial, _check_paths,
+                     _check_stride, _resolve_steps)
 from .errors import IntegrationError, ParameterError, ZeroNoiseError
-from .integrators import Scheme, _check_initial, _check_stride, _resolve_steps, simulate
-from .model import ModelParams, State, _as_finite_float, classify_regime
+from .model import ModelParams, State, classify_regime
 
 _CONFIG_KEYS = {"params", "x0", "horizon", "dt", "scheme", "n_paths", "seed",
                 "record_stride", "outputs"}
@@ -78,8 +82,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
-    # checks seed and n_paths as every noisy run does; draws nothing until iterated
-    brownian.NoiseStream(seed, n_paths, dt, n_steps)
+    _check_paths(seed, n_paths)
 
     return ScenarioConfig(params=params, x0=x0, horizon=horizon, dt=dt,
                           scheme=scheme, n_paths=n_paths, seed=seed,
@@ -151,6 +154,9 @@ def _cmd_thresholds(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
+    from . import brownian
+    from .integrators import simulate
+
     out = _out_dir(cfg, args)
     deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
                              cfg.dt, record_stride=cfg.record_stride)
@@ -168,6 +174,8 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
+    from . import analysis
+
     out = _out_dir(cfg, args)
     stats = analysis.ensemble(cfg.params, cfg.scheme, cfg.x0, cfg.horizon,
                               cfg.dt, cfg.n_paths, cfg.seed,
@@ -179,6 +187,8 @@ def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_convergence(cfg: ScenarioConfig, args) -> int:
+    from . import analysis
+
     out = _out_dir(cfg, args)
     report = analysis.strong_order(cfg.params, cfg.scheme, cfg.x0,
                                    cfg.horizon, dt_fine=cfg.dt,
@@ -202,6 +212,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
+    from . import analysis
+
     out = _out_dir(cfg, args)
     m_grid = _parse_grid(args.m_grid, "--m-grid")
     sigma_grid = _parse_grid(args.sigma_grid, "--sigma-grid")

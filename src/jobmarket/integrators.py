@@ -47,13 +47,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from types import SimpleNamespace
 from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
 from . import brownian
+from ._rules import Scheme, _check_initial, _check_stride, _positive_finite, _resolve_steps
 from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
@@ -83,26 +83,6 @@ _SPLIT_MIN = 1000
 
 # the per-path accumulators a run_batch caller may ask for
 _OUTPUTS = frozenset({"integral_u", "integral_v", "max_total"})
-
-
-class Scheme(Enum):
-    RK4 = "rk4"
-    EULER_MARUYAMA = "euler_maruyama"
-    MILSTEIN = "milstein"
-
-    @property
-    def is_stochastic(self) -> bool:
-        return self is not Scheme.RK4
-
-    @classmethod
-    def parse(cls, name: str) -> "Scheme":
-        for scheme in cls:
-            if scheme.value == name:
-                return scheme
-        raise ParameterError(
-            f"unknown scheme {name!r}; expected one of "
-            f"{[s.value for s in cls]}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +172,7 @@ def _scalar_next(update, u: float, v: float, dt, dB, p: ModelParams):
 
 
 def _step(update, s: State, dt: float, dB, p: ModelParams) -> tuple[State, bool]:
-    if not brownian._positive_finite(dt):
-        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
+    _positive_finite("dt", dt)
     un, vn, clamped = _scalar_next(update, float(s[0]), float(s[1]), dt, dB, p)
     return State(un, vn), clamped
 
@@ -275,37 +254,6 @@ class Trajectory:
         for i in range(self.n_points):
             fp.write(f"{float(self.times[i])!r},{float(self.u[i])!r},"
                      f"{float(self.v[i])!r},{1 if flags[i] else 0}\n")
-
-
-def _resolve_steps(horizon: float, dt: float) -> int:
-    if not brownian._positive_finite(dt):
-        raise ParameterError(f"dt must be a positive finite number, got {dt!r}")
-    if not brownian._positive_finite(horizon):
-        raise ParameterError(f"horizon must be a positive finite number, got {horizon!r}")
-    ratio = horizon / dt
-    if not math.isfinite(ratio):
-        raise ParameterError(f"horizon {horizon} / dt {dt} is not a finite step count")
-    n_steps = round(ratio)
-    if n_steps > np.iinfo(np.intp).max:
-        raise ParameterError(f"horizon {horizon} / dt {dt} is {n_steps} steps, "
-                             "more than an array can index")
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        raise ParameterError(
-            f"horizon {horizon} is not a positive integer multiple of dt {dt}"
-        )
-    return n_steps
-
-
-def _check_stride(n_steps: int, record_stride: int) -> None:
-    if (isinstance(record_stride, bool) or not isinstance(record_stride, int)
-            or record_stride < 1):
-        raise ParameterError(
-            f"record_stride must be a positive integer, got {record_stride!r}")
-    if n_steps % record_stride != 0:
-        raise ParameterError(
-            f"record_stride {record_stride} must divide the step count {n_steps} "
-            "so the recorded grid keeps a constant spacing"
-        )
 
 
 class _Records:
@@ -548,12 +496,6 @@ def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
     un, ev_u, bad_u = _clamp_array(un)
     vn, ev_v, bad_v = _clamp_array(vn)
     return un, vn, _union(ev_u, ev_v), _union(bad_u, bad_v)
-
-
-def _check_initial(u: np.ndarray, v: np.ndarray) -> None:
-    # False on NaN, on +-inf and on negatives; True on -0.0
-    if not (np.all((u >= 0.0) & (u < np.inf)) and np.all((v >= 0.0) & (v < np.inf))):
-        raise ParameterError("initial states must be finite and nonnegative")
 
 
 def _spread(mask: np.ndarray | None, lanes: np.ndarray, n: int) -> np.ndarray | None:

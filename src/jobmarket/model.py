@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from ._rules import _as_finite_float
 from .errors import ParameterError, ZeroNoiseError
 
 __all__ = [
@@ -47,15 +48,6 @@ __all__ = [
     "classify_regime",
     "interior_equilibrium",
 ]
-
-
-def _as_finite_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 class State(NamedTuple):

@@ -81,6 +81,77 @@ def test_parse_config_rejects_bad_input(overrides):
         parse_config(data)
 
 
+P = BASE["params"]
+
+
+def config(**overrides):
+    """BASE with overrides; a None value removes the key."""
+    data = {**BASE, **overrides}
+    return {key: value for key, value in data.items() if value is not None}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([1, 2], "config must be a JSON object"),
+    (config(typo_key=1), "unknown config keys: ['typo_key']"),
+    (config(horizon=None), "missing config keys: ['horizon']"),
+    (config(params=[1.0]), "params must be an object, got [1.0]"),
+    (config(params=dict(P, q=1.0)),
+     "unknown params keys: ['q']; expected exactly r, K, m, d, sigma"),
+    (config(params={k: x for k, x in P.items() if k != "sigma"}),
+     "missing params keys: ['sigma']"),
+    (config(params=dict(P, r="1")), "r must be a real number, got '1'"),
+    (config(params=dict(P, K=True)), "K must be a real number, got True"),
+    (config(params=dict(P, m=float("nan"))), "m must be finite, got nan"),
+    (config(params=dict(P, d=0.0)), "d must be > 0, got 0.0"),
+    (config(params=dict(P, sigma=-0.1)), "sigma must be >= 0, got -0.1"),
+    (config(x0=[1.0, 1.0]), "config field 'x0' must be an object with keys u, v"),
+    (config(x0={"u": 1.0}), "config field 'x0' must be an object with keys u, v"),
+    (config(x0={"u": "1", "v": 1.0}), "x0.u must be a real number, got '1'"),
+    (config(x0={"u": 1.0, "v": float("inf")}), "x0.v must be finite, got inf"),
+    (config(x0={"u": -1.0, "v": 1.0}), "initial states must be finite and nonnegative"),
+    (config(x0={"u": 1.0, "v": -5e-324}), "initial states must be finite and nonnegative"),
+    (config(horizon=True), "horizon must be a real number, got True"),
+    (config(dt=float("nan")), "dt must be finite, got nan"),
+    (config(scheme="rk5"),
+     "unknown scheme 'rk5'; expected one of ['rk4', 'euler_maruyama', 'milstein']"),
+    (config(scheme=4),
+     "unknown scheme 4; expected one of ['rk4', 'euler_maruyama', 'milstein']"),
+    (config(outputs=5), "config field 'outputs' must be a string, got 5"),
+    (config(dt=-0.01), "dt must be a positive finite number, got -0.01"),
+    (config(horizon=0.0), "horizon must be a positive finite number, got 0.0"),
+    (config(horizon=1.0, dt=1e-320), "horizon 1.0 / dt 1e-320 is not a finite step count"),
+    # 2^63 steps, one past the largest index an array takes; 2^63 - 1024 parses
+    (config(horizon=2.0**63, dt=1.0, record_stride=None),
+     "horizon 9.223372036854776e+18 / dt 1.0 is 9223372036854775808 steps, "
+     "more than an array can index"),
+    (config(horizon=1.0, dt=0.3),
+     "horizon 1.0 is not a positive integer multiple of dt 0.3"),
+    (config(record_stride=0), "record_stride must be a positive integer, got 0"),
+    (config(record_stride=True), "record_stride must be a positive integer, got True"),
+    (config(record_stride=2.5), "record_stride must be a positive integer, got 2.5"),
+    (config(record_stride=7), "record_stride 7 must divide the step count 200 so the "
+                              "recorded grid keeps a constant spacing"),
+    (config(n_paths=0), "n_paths must be a positive integer, got 0"),
+    (config(n_paths=True), "n_paths must be a positive integer, got True"),
+    (config(n_paths=2.5), "n_paths must be a positive integer, got 2.5"),
+    (config(n_paths=2**32 + 1), "path_index must fit in 32 bits, got 4294967296"),
+    (config(seed=True), "seed must be an integer, got True"),
+    (config(seed=1.5), "seed must be an integer, got 1.5"),
+    (config(seed=-5), "seed must fit in 64 bits, got -5"),
+    (config(seed=2**64), "seed must fit in 64 bits, got 18446744073709551616"),
+])
+def test_parse_config_error_messages_are_pinned(data, message):
+    from jobmarket import ParameterError
+    with pytest.raises(ParameterError) as exc:
+        parse_config(data)
+    assert str(exc.value) == message
+
+
+def test_the_largest_step_count_below_the_index_bound_parses():
+    cfg = parse_config(config(horizon=2.0**63 - 1024, dt=1.0, record_stride=None))
+    assert cfg.horizon == 9223372036854774784.0
+
+
 def test_missing_required_key_rejected():
     from jobmarket import ParameterError
     data = dict(BASE)
@@ -449,13 +520,59 @@ def test_module_entry_point(tmp_path):
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random adds import time and about 6 MB of RSS to every run; the
-    # noise sampler loads it when it first draws
+    # noise sampler loads it when it first draws. numpy itself loads with
+    # the first handler that steps.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, jobmarket.cli; print('numpy.random' in sys.modules)"],
+         "import sys, jobmarket.cli; "
+         "print('numpy.random' in sys.modules, 'numpy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
+
+
+# runs each argv through main in one interpreter; prints each exit code and
+# whether numpy was loaded after it, as JSON on the last line
+_MAIN_RUNS = """
+import json, sys
+from jobmarket.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    results.append([code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_thresholds_help_and_config_errors_run_without_numpy(tmp_path):
+    out = str(tmp_path / "out")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+
+    def bad(command, name, **overrides):
+        return [command, "--config", write_config(tmp_path, name, **overrides),
+                "--out", out, "--quiet"]
+
+    runs = [
+        (["thresholds", "--config", "fig1", "--out", out, "--quiet"], 0),
+        (["--help"], 0),
+        (["ensemble", "--config", str(bad_json), "--out", out], 2),
+        (bad("sweep", "key.json", typo=1) + ["--m-grid", "0.1", "--sigma-grid", "0.1"], 2),
+        (bad("simulate", "neg.json", x0={"u": -1.0, "v": 1.0}), 2),
+        (bad("ensemble", "nan.json", x0={"u": float("nan"), "v": 1.0}), 2),
+        (bad("ensemble", "stride.json", record_stride=7), 2),
+        (bad("convergence", "seed.json", seed=2**64), 2),
+        (bad("ensemble", "paths.json", n_paths=True), 2),
+        (bad("thresholds", "sigma.json", params=dict(BASE["params"], sigma=0.0)), 3),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_RUNS, json.dumps([argv for argv, _ in runs])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[code, False] for _, code in runs]
 
 
 @pytest.mark.skipif(shutil.which("jobmarket") is None,
