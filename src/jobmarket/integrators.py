@@ -18,7 +18,9 @@ alike, so the bits are the plain expression's (a NaN's sign aside, which
 numpy's add does not fix either). On floats, x *= y rebinds the name; on
 lane arrays it writes in place and saves allocating an array per
 operation. The inputs are never written: dB is a row of the noise
-stream's block, and a settled lane keeps stepping on it.
+stream's block, and a settled lane keeps stepping on it. The lane clamp
+may write an update's result, which is the update's own fresh array: it
+flushes near-zero lanes in place.
 
 Milstein adds the derivative-of-diffusion correction for the single-noise
 system with b = (-sigma*u*v, +sigma*u*v):
@@ -449,33 +451,40 @@ class BatchResult:
             scheme=self.scheme, params=self.params[c])
 
 
-def _stack_params(ps: tuple[ModelParams, ...]) -> SimpleNamespace:
+def _stack_params(ps: tuple[ModelParams, ...], n_paths: int) -> SimpleNamespace:
     """The constants of several ModelParams, and their half_sigma_sq, as
-    (cells, 1) columns, which broadcast row c of a (cells, n_paths) lane
-    array against ps[c]."""
+    C-contiguous (cells, n_paths) arrays whose row c holds ps[c]'s value:
+    lane-shaped, so a step's ufuncs on (cells, n_paths) lanes run on
+    same-shape operands, which numpy dispatches faster than a broadcast."""
     names = [f.name for f in fields(ModelParams)] + ["half_sigma_sq"]
-    return SimpleNamespace(**{name: np.array([[getattr(q, name)] for q in ps])
-                              for name in names})
+    return SimpleNamespace(**{
+        name: np.repeat(np.array([[getattr(q, name)] for q in ps]), n_paths, axis=1)
+        for name in names})
 
 
 def _clamp_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
                                           np.ndarray | None]:
     """np.where(x >= _TINY, x, 0.0), the clamp events (finite lanes at or
     below -_TINY) and the failures (NaN or -inf lanes); events and
-    failures are None when there are none.
+    failures are None when there are none. x must be an update's own
+    fresh result, which nothing else reads: the flush tier writes into it.
 
-    One min() picks the tier: every lane normal or +inf needs no pass;
-    lanes only as far below as the subnormals (an extinct lane sits at
-    exact 0) are flushed without an event test; anything lower, or a NaN
-    minimum, takes the full pass, and only a NaN or -inf minimum looks
+    One min() picks the tier: every lane normal or +inf needs no pass and
+    x comes back as is; lanes only as far below as the subnormals (an
+    extinct lane sits at exact 0) are flushed in x itself, without an
+    event test, and x comes back; anything lower, or a NaN minimum, takes
+    the full pass into a new array, and only a NaN or -inf minimum looks
     for failures. A +inf lane fails on the next step, as NaN or -inf.
     """
     lo = np.minimum.reduce(x, None)  # x.min() without its Python wrapper
     if lo >= _TINY:
         return x, None, None
-    clamped = np.where(x >= _TINY, x, 0.0)
     if lo > -_TINY:
-        return clamped, None, None
+        # no NaN here (it would be the minimum): x < _TINY is the complement
+        # of x >= _TINY. copyto(where=) is slower on scattered extinct lanes
+        np.putmask(x, x < _TINY, 0.0)
+        return x, None, None
+    clamped = np.where(x >= _TINY, x, 0.0)
     events, failed = x <= -_TINY, None
     if not lo > -np.inf:
         failed = ~(x > -np.inf)
@@ -488,11 +497,13 @@ def _union(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return b if a is None else a if b is None else a | b
 
 
-def _stochastic_next(scheme: Scheme, u, v, dt, dB, coeffs):
+def _stochastic_next(update, u, v, dt, dB, coeffs):
     """One clamped Euler-Maruyama or Milstein step of lane arrays: (u, v,
     clamp events, failed lanes), the masks None when no lane clamped or
-    failed. dt may be a column that gives each row its own step."""
-    un, vn = _STOCHASTIC_NEXT[scheme](u, v, dt, dB, coeffs)
+    failed. update is the scheme's entry in _STOCHASTIC_NEXT, looked up
+    once per run, as for _scalar_next. dt may be a column that gives each
+    row its own step."""
+    un, vn = update(u, v, dt, dB, coeffs)
     un, ev_u, bad_u = _clamp_array(un)
     vn, ev_v, bad_v = _clamp_array(vn)
     return un, vn, _union(ev_u, ev_v), _union(bad_u, bad_v)
@@ -529,9 +540,9 @@ class _Lanes:
     back; below that every lane takes the scheme's step.
     """
 
-    def __init__(self, scheme: Scheme, p: ModelParams, dt: float, block: int,
+    def __init__(self, update, p: ModelParams, dt: float, block: int,
                  u: np.ndarray, v: np.ndarray):
-        self.scheme, self.p, self.dt, self.block = scheme, p, dt, block
+        self.update, self.p, self.dt, self.block = update, p, dt, block
         self.settled = brownian._mapped(u.size, dtype=bool)
         self.settled |= v == 0.0
         self.stepped: np.ndarray | None = None  # the lanes a split step steps
@@ -555,12 +566,12 @@ class _Lanes:
     def _next(self, u, v, dB):
         lanes = self.stepped
         if lanes is None:
-            return _stochastic_next(self.scheme, u, v, self.dt, dB, self.p)
+            return _stochastic_next(self.update, u, v, self.dt, dB, self.p)
         if not lanes.size:
             return u, v, None, None
         un, vn = u.copy(), v.copy()
         un[lanes], vn[lanes], events, failed = _stochastic_next(
-            self.scheme, u[lanes], v[lanes], self.dt, dB[lanes], self.p)
+            self.update, u[lanes], v[lanes], self.dt, dB[lanes], self.p)
         return un, vn, _spread(events, lanes, u.size), _spread(failed, lanes, u.size)
 
 
@@ -629,11 +640,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                              f"subset of {sorted(_OUTPUTS)}")
     u = np.asarray(u0, dtype=float)
     v = np.asarray(v0, dtype=float)
-    if isinstance(p, ModelParams):
-        coeffs, cells = p, ()
-    else:
+    cells = ()
+    if not isinstance(p, ModelParams):
         p = tuple(p)
-        coeffs, cells = _stack_params(p), (len(p),)
+        cells = (len(p),)
     if (u.shape != v.shape or u.ndim != len(cells) + 1 or u.shape[:-1] != cells
             or u.size == 0):
         raise ParameterError("u0 and v0 must be 1-D arrays of equal, nonzero "
@@ -641,6 +651,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
                              "a nonempty sequence of params")
     _check_initial(u, v)
     n_paths = u.shape[-1]
+    coeffs = _stack_params(p, n_paths) if cells else p
     errors: list[str | None] = [None] * (cells[0] if cells else 1)
 
     def fail(k, bad_u, bad_v, un, vn, what):
@@ -664,7 +675,8 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
         # multi-cell runs keep the plain step, and so do runs on user
         # matrices (an inf or NaN increment on a settled lane must still
         # fail the run) and at a dt where dB*dB, |dB| < 14*sqrt(dt), may overflow
-        lanes = (_Lanes(scheme, coeffs, dt, dW.block, u, v)
+        update = _STOCHASTIC_NEXT[scheme]
+        lanes = (_Lanes(update, coeffs, dt, dW.block, u, v)
                  if not cells and isinstance(dW, NoiseStream)
                  and math.isfinite(200.0 * dt) else None)
         noise = _noise_rows(dW, n_paths, n_steps, dt,
@@ -672,7 +684,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
 
         def step(k, u, v, dB):
             if lanes is None:
-                un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+                un, vn, events, failed = _stochastic_next(update, u, v, dt, dB, coeffs)
             else:
                 un, vn, events, failed = lanes.step(k, u, v, dB)
             if failed is not None:
@@ -733,12 +745,13 @@ def _coupled_terminals(scheme: Scheme, p: ModelParams, u0: np.ndarray,
     dts = np.array([[dt * 2 ** level] for level in range(n)])
     sums = np.empty_like(u)
     done = n  # levels whose group completed on the previous row restart here
+    update = _STOCHASTIC_NEXT[scheme]
     for k, row in zip(range(1, n_steps + 1), _noise_rows(dW, len(u0), n_steps, dt)):
         sums[:done] = row
         sums[done:] += row
         done = min(n, (k & -k).bit_length())  # levels L with 2^L dividing k
         u[:done], v[:done], _, failed = _stochastic_next(
-            scheme, u[:done], v[:done], dts[:done], sums[:done], p)
+            update, u[:done], v[:done], dts[:done], sums[:done], p)
         if failed is not None:
             break
     # a +inf from the last row; one from an earlier row fails the next

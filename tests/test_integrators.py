@@ -28,9 +28,9 @@ from jobmarket import (
 )
 from jobmarket import brownian, integrators
 from jobmarket.brownian import NoiseStream
-from jobmarket.integrators import (_clamp_array, _coupled_terminals, _em_next,
-                                  _milstein_corr, _milstein_next, _stack_params,
-                                  _stochastic_next)
+from jobmarket.integrators import (_STOCHASTIC_NEXT, _clamp_array, _coupled_terminals,
+                                  _em_next, _milstein_corr, _milstein_next,
+                                  _stack_params, _stochastic_next)
 
 import updates
 
@@ -175,8 +175,13 @@ def test_half_sigma_sq_is_read_only_and_stacked_with_the_same_bits():
         assert p.half_sigma_sq == 0.5 * p.sigma * p.sigma
         with pytest.raises(AttributeError):
             p.half_sigma_sq = 1.0
-    stacked = _stack_params(ps)
-    assert stacked.half_sigma_sq.shape == (3, 1)
+    # lane-shaped: row c of every constant holds ps[c]'s own value on each of
+    # the n_paths lanes, so a step's ufuncs meet same-shape operands
+    stacked = _stack_params(ps, 4)
+    for name in ("r", "K", "m", "d", "sigma", "half_sigma_sq"):
+        column = getattr(stacked, name)
+        assert column.shape == (3, 4) and column.flags.c_contiguous, name
+        assert column.tobytes() == np.array([[getattr(p, name)] * 4 for p in ps]).tobytes()
     assert (stacked.half_sigma_sq.tobytes()
             == (0.5 * stacked.sigma * stacked.sigma).tobytes())
 
@@ -432,6 +437,55 @@ def _assert_rows_match_runs_alone(stacked, rows, alone):
         assert row.errors == alone.errors == (None,)
         for name in _BATCH_FIELDS:
             assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+_U_NORMAL = [[50.0, 30.0, 5.0, 80.0], [5.0, 3.0, 8.0, 2.0], [1.0, 2.0, 3.0, 4.0]]
+_V_NORMAL = [[10.0, 12.0, 3.0, 1.0], [10.0, 12.0, 3.0, 1.0], [2.0, 3.0, 1.0, 2.0]]
+# (u0, v0, the clamp tiers the run takes) of cells (P_FIG2, P_FIG1, P_NOISY):
+# 1, no pass; 2, the in-place flush; 3, the full pass
+_TIER_STARTS = {
+    # every lane normal, until two of P_NOISY's v lanes step materially
+    # below zero, clamp and stay at exact 0
+    "reaches_zero": (_U_NORMAL, _V_NORMAL, {1, 2, 3}),
+    # lanes at exact +0 and -0 from the start
+    "zero": ([[50.0, 30.0, 5.0, 0.0], *_U_NORMAL[1:]],
+             [[10.0, 0.0, -0.0, 0.0], *_V_NORMAL[1:]], {2, 3}),
+    # subnormal u and v lanes (5e-324 and 1e-310), flushed on the first step
+    "subnormal": ([[50.0, 30.0, 5e-324, 80.0], *_U_NORMAL[1:]],
+                  [[10.0, 5e-324, 3.0, 1e-310], *_V_NORMAL[1:]], {2, 3}),
+}
+
+
+def _clamp_tier(x):
+    lo = np.min(x)
+    return 1 if lo >= _TINY else 2 if lo > -_TINY else 3
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
+@pytest.mark.parametrize("start", sorted(_TIER_STARTS))
+def test_multi_cell_rows_match_single_cell_runs_in_every_clamp_tier(monkeypatch,
+                                                                    scheme, start):
+    # the flush tier writes into the update's result: a row that flushes
+    # must keep the bits of its run alone, and so must the rows beside it
+    tiers = set()
+    clamp = integrators._clamp_array
+
+    def spy(x):
+        tiers.add(_clamp_tier(x))
+        return clamp(x)
+
+    monkeypatch.setattr(integrators, "_clamp_array", spy)
+    u0, v0, taken = _TIER_STARTS[start]
+    u0, v0 = np.array(u0), np.array(v0)
+    cells = (P_FIG2, P_FIG1, P_NOISY)
+    horizon, dt = 2.0, 0.01
+    dW = _noise_matrix(3, u0.shape[1], dt, round(horizon / dt))
+    stacked = run_batch(scheme, list(cells), u0, v0, horizon, dt, dW, record_stride=10)
+    assert tiers == taken
+    assert stacked.clamp_counts[2].sum() == 2 and stacked.V[2, :, -1].min() == 0.0
+    for c, p in enumerate(cells):
+        _assert_rows_match_runs_alone(stacked, (c,), run_batch(
+            scheme, p, u0[c], v0[c], horizon, dt, dW, record_stride=10))
 
 
 def test_multi_cell_rk4_failure_names_its_cell():
@@ -729,12 +783,21 @@ def _non_finite(x):
 @example(x=np.array([-_TINY, 1.0]))  # exactly -DBL_MIN is an event
 @example(x=np.array([[0.0, math.nan], [1.0, 2.0]]))  # NaN fails, no event
 @example(x=np.array([-math.inf, -1.0]))  # -inf fails, no event
+@example(x=np.array([5e-324, -0.0, 1.0]))  # the flush tier: both become +0.0
 @given(x=_LANES)
 def test_clamp_array_tiers_match_the_full_pass(x):
+    before = x.copy()  # the flush tier writes into x
     out, events, failed = _clamp_array(x)
-    assert _bits(out) == _bits(np.where(x >= _TINY, x, 0.0))
-    _assert_events(events, (x <= -_TINY) & ~_non_finite(x))
-    _assert_events(failed, _non_finite(x))
+    assert _bits(out) == _bits(np.where(before >= _TINY, before, 0.0))
+    _assert_events(events, (before <= -_TINY) & ~_non_finite(before))
+    _assert_events(failed, _non_finite(before))
+    lo = np.min(before)  # NaN when any lane is NaN
+    if lo >= _TINY:  # no pass: x itself, unchanged
+        assert out is x and _bits(x) == _bits(before)
+    elif lo > -_TINY:  # the flush: x itself, flushed in place
+        assert out is x
+    else:  # the full pass: a new array, and x as it was
+        assert out is not x and _bits(x) == _bits(before)
 
 
 _SHAPE = st.shared(array_shapes(min_dims=1, max_dims=2, max_side=6), key="lanes")
@@ -752,7 +815,8 @@ def test_stochastic_next_reports_events_only_when_a_lane_clamps(scheme, u, v, dB
                                                                sigma, dt):
     p = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=sigma)
     with np.errstate(all="ignore"):
-        un, vn, events, failed = _stochastic_next(scheme, u, v, dt, dB, p)
+        un, vn, events, failed = _stochastic_next(_STOCHASTIC_NEXT[scheme], u, v, dt,
+                                                  dB, p)
         next_ = _em_next if scheme is Scheme.EULER_MARUYAMA else _milstein_next
         ref_u, ref_v = next_(u, v, dt, dB, p)
     # each component clamps as the full pass would; the events and the
@@ -778,11 +842,11 @@ def test_stochastic_next_cancels_noise_from_the_total_on_every_free_lane(
     # on 1-D lanes and on (cells, n_paths) lanes under stacked params
     coeffs, shape = cells[0], (n_paths,)
     if stacked:
-        coeffs, shape = _stack_params(tuple(cells)), (len(cells), n_paths)
+        coeffs, shape = _stack_params(tuple(cells), n_paths), (len(cells), n_paths)
     u = data.draw(arrays(float, shape, elements=st.floats(0.0, 200.0)), label="u")
     v = data.draw(arrays(float, shape, elements=st.floats(0.0, 200.0)), label="v")
     dB = data.draw(arrays(float, (n_paths,), elements=st.floats(-1.0, 1.0)), label="dB")
-    un, vn, _, _ = _stochastic_next(scheme, u, v, dt, dB, coeffs)
+    un, vn, _, _ = _stochastic_next(_STOCHASTIC_NEXT[scheme], u, v, dt, dB, coeffs)
     next_ = _em_next if scheme is Scheme.EULER_MARUYAMA else _milstein_next
     raw_u, raw_v = next_(u, v, dt, dB, coeffs)
     # the lanes that neither clamp, flush nor fail: the step leaves them as computed
@@ -825,7 +889,7 @@ def _update_inputs(layout, data):
     n = data.draw(st.integers(1, 6), label="n")
     coeffs, lanes, rows = cells[0], (n,), (n,)
     if layout == "cells":
-        coeffs, lanes = _stack_params(tuple(cells)), (len(cells), n)
+        coeffs, lanes = _stack_params(tuple(cells), n), (len(cells), n)
     elif layout == "levels":
         lanes = rows = (len(cells), n)
         dt = np.array([[dt * 2 ** level] for level in range(len(cells))])
@@ -1229,9 +1293,9 @@ def test_settled_lanes_that_move_take_the_schemes_step(monkeypatch):
     # step, below the frozen-lane floor, steps every lane with the scheme
     sizes = []
 
-    def spy(scheme, u, *args):
+    def spy(update, u, *args):
         sizes.append(u.size)
-        return _stochastic_next(scheme, u, *args)
+        return _stochastic_next(update, u, *args)
 
     monkeypatch.setattr(integrators, "_stochastic_next", spy)
     n, n_steps = 2048, 256
