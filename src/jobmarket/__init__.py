@@ -8,8 +8,7 @@ The package is organised bottom-up:
   model        parameters, vector fields, closed-form regime thresholds
   brownian     reproducible keyed Brownian increment streams
   integrators  RK4 / Euler-Maruyama / Milstein stepping and trajectories
-  analysis     ensembles, time averages, extinction detection,
-               strong-convergence orders, (m, sigma) regime maps
+  analysis     ensembles, strong-convergence orders, (m, sigma) regime maps
   cli          `jobmarket` command-line front end
 """
 
@@ -28,10 +27,8 @@ from .model import (
     RegimeReport,
     State,
     classify_regime,
-    diffusion,
     drift,
     extinction_index,
-    interior_equilibrium,
     persistence_floor,
     r0s,
     ultimate_bound,
@@ -66,8 +63,8 @@ __all__ = [
     "__version__",
     "JobMarketError", "ParameterError", "ZeroNoiseError", "IntegrationError",
     "ModelParams", "State", "Regime", "RegimeReport",
-    "drift", "diffusion", "extinction_index", "r0s", "persistence_floor",
-    "ultimate_bound", "classify_regime", "interior_equilibrium",
+    "drift", "extinction_index", "r0s", "persistence_floor",
+    "ultimate_bound", "classify_regime",
     "BrownianPath", "generate",
     "Scheme", "Trajectory", "BatchResult",
     "step_rk4", "step_em", "step_milstein", "simulate", "run_batch",

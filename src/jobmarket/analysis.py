@@ -1,5 +1,4 @@
-"""Ensemble statistics, time averages, extinction detection, empirical
-strong-convergence orders and regime maps.
+"""Ensemble statistics, empirical strong-convergence orders and regime maps.
 
 Everything here is deterministic given (seed, n_paths): path i always draws
 from the (seed, i) stream, statistics reduce over the path axis in fixed
@@ -19,20 +18,16 @@ from . import brownian
 from ._rules import (_check_initial, _check_levels, _check_paths, _positive_int,
                      _resolve_steps)
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import (_OUTPUTS, BatchResult, Scheme, Trajectory, _coupled_terminals,
-                          run_batch)
+from .integrators import _OUTPUTS, BatchResult, Scheme, _coupled_terminals, run_batch
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
 __all__ = [
     "EnsembleStats",
-    "ExtinctionScan",
     "StrongOrderReport",
     "Observation",
     "RegimeCell",
     "simulate_paths",
     "ensemble",
-    "time_average",
-    "detect_extinction",
     "strong_order",
     "regime_map",
     "regime_cells_to_csv",
@@ -160,72 +155,6 @@ def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     return EnsembleStats(
         batch.times, *stats.columns[0], *stats.columns[1], n_paths=batch.n_paths,
         clamp_rate=float(np.count_nonzero(batch.clamp_counts > 0)) / batch.n_paths)
-
-
-def time_average(traj: Trajectory, component: str) -> float:
-    """(1/T) * integral of u or v over the full recorded horizon.
-
-    Uses the integrator's full-resolution trapezoidal accumulator when the
-    trajectory carries one; otherwise falls back to the trapezoid rule on
-    the recorded grid (exact for constant and affine samples).
-    """
-    if component not in ("u", "v"):
-        raise ParameterError(f"component must be 'u' or 'v', got {component!r}")
-    if traj.n_points < 2:
-        raise ParameterError("time average needs at least two recorded points")
-    horizon = traj.horizon
-    if horizon <= 0.0:
-        raise ParameterError("trajectory spans zero time")
-    integral = traj.integral_u if component == "u" else traj.integral_v
-    if integral is not None:
-        return integral / horizon
-    values = traj.u if component == "u" else traj.v
-    return float(np.trapezoid(values, traj.times)) / horizon
-
-
-@dataclass(frozen=True)
-class ExtinctionScan:
-    """Outcome of an extinction search.
-
-    time is the earliest recorded tau with v below threshold on all of
-    [tau, tau + window], or None. insufficient_horizon distinguishes "the
-    trajectory is too short to ever confirm a window" from a genuine
-    absence.
-    """
-
-    time: float | None
-    insufficient_horizon: bool = False
-
-    @property
-    def detected(self) -> bool:
-        return self.time is not None
-
-
-def detect_extinction(traj: Trajectory, threshold: float,
-                      window: float) -> ExtinctionScan:
-    """Earliest recorded time from which v stays below threshold for a full window."""
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be > 0, got {threshold}")
-    if not window > 0.0:
-        raise ParameterError(f"window must be > 0, got {window}")
-    times = traj.times
-    horizon = float(times[-1])
-    fudge = 1e-9 * max(window, horizon)
-    if window > horizon + fudge:
-        return ExtinctionScan(time=None, insufficient_horizon=True)
-
-    below = traj.v < threshold
-    above_prefix = np.concatenate(([0], np.cumsum(~below)))
-    for i in range(len(times)):
-        t_end = times[i] + window
-        if t_end > horizon + fudge:
-            break
-        if not below[i]:
-            continue
-        j = int(np.searchsorted(times, t_end + fudge, side="right")) - 1
-        if above_prefix[j + 1] - above_prefix[i] == 0:
-            return ExtinctionScan(time=float(times[i]))
-    return ExtinctionScan(time=None)
 
 
 @dataclass(frozen=True)

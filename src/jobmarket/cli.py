@@ -24,8 +24,8 @@ from typing import Callable, Sequence, TextIO
 # the handlers that step import them, and --help, thresholds and a config
 # error run without numpy
 from . import __version__, scenarios
-from ._rules import (Scheme, _as_finite_float, _check_initial, _check_paths,
-                     _check_stride, _resolve_steps)
+from ._rules import (Scheme, _as_finite_float, _check_initial, _check_levels,
+                     _check_paths, _check_stride, _resolve_steps)
 from .errors import IntegrationError, ParameterError, ZeroNoiseError
 from .model import ModelParams, State, classify_regime
 
@@ -189,6 +189,7 @@ def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
 def _cmd_convergence(cfg: ScenarioConfig, args) -> int:
     from . import analysis
 
+    _check_levels(args.levels)  # before _out_dir: a bad flag creates no directory
     out = _out_dir(cfg, args)
     report = analysis.strong_order(cfg.params, cfg.scheme, cfg.x0,
                                    cfg.horizon, dt_fine=cfg.dt,
@@ -214,9 +215,9 @@ def _parse_grid(text: str, name: str) -> list[float]:
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     from . import analysis
 
-    out = _out_dir(cfg, args)
     m_grid = _parse_grid(args.m_grid, "--m-grid")
     sigma_grid = _parse_grid(args.sigma_grid, "--sigma-grid")
+    out = _out_dir(cfg, args)
     cells = analysis.regime_map(cfg.params, m_grid, sigma_grid,
                                 scheme=cfg.scheme, x0=cfg.x0,
                                 horizon=cfg.horizon, dt=cfg.dt,

@@ -40,13 +40,11 @@ __all__ = [
     "Regime",
     "RegimeReport",
     "drift",
-    "diffusion",
     "extinction_index",
     "r0s",
     "persistence_floor",
     "ultimate_bound",
     "classify_regime",
-    "interior_equilibrium",
 ]
 
 
@@ -176,17 +174,6 @@ def drift(s: State, p: ModelParams) -> tuple[float, float]:
     return du, coupling
 
 
-def diffusion(s: State, p: ModelParams) -> tuple[float, float]:
-    """Noise coefficients at s: (-sigma*u*v, +sigma*u*v).
-
-    Both components are the same product negated, so their sum is exactly
-    zero in floating arithmetic.
-    """
-    u, v = s
-    g = p.sigma * u * v
-    return (-g, g)
-
-
 def extinction_index(p: ModelParams) -> float:
     """m^2/(2*sigma^2) - d; v dies out almost surely when this is < 0."""
     if p.sigma == 0.0:
@@ -253,16 +240,3 @@ def classify_regime(p: ModelParams) -> RegimeReport:
         classification=classification,
         threshold_conflict=conflict,
     )
-
-
-def interior_equilibrium(p: ModelParams) -> State | None:
-    """Positive rest point of the noise-free system, if it exists.
-
-    Setting both drift components to zero with u, v > 0 gives
-    u* = d/m and v* = (r/m)*(1 - d/(m*K)); the point only lies in the
-    open positive quadrant when d/m < K. Returns None otherwise.
-    """
-    u_star = p.d / p.m
-    if u_star >= p.K:
-        return None
-    return State(u_star, (p.r / p.m) * (1.0 - p.d / (p.m * p.K)))

@@ -28,67 +28,17 @@ from jobmarket.analysis import (
     Observation,
     StrongOrderReport,
     _observe,
-    detect_extinction,
     ensemble,
     regime_cells_to_csv,
     regime_map,
     simulate_paths,
     strong_order,
-    time_average,
 )
 
 from coarsening import group_sums
 
 P_FIG1 = ModelParams(r=1.0, K=100.0, m=0.001, d=0.2, sigma=0.09)
 P_FIG2 = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.001)
-
-
-# ---------------------------------------------------------------------------
-# time averages
-
-def _samples(times, u, v):
-    """A trajectory of plain sampled data: no clamp log, no accumulators."""
-    times = np.asarray(times, dtype=float)
-    return Trajectory(times=times, u=np.asarray(u, dtype=float),
-                      v=np.asarray(v, dtype=float),
-                      clamped=np.zeros(len(times), dtype=bool))
-
-
-def test_time_average_constant_is_exact():
-    times = np.arange(65) * 0.25  # dyadic grid, exact arithmetic throughout
-    traj = _samples(times, np.full(65, 7.5), np.full(65, 3.25))
-    assert time_average(traj, "u") == 7.5
-    assert time_average(traj, "v") == 3.25
-
-
-def test_time_average_linear_is_exact():
-    # x(t) = t on [0, 1]: the trapezoid rule integrates affine data exactly,
-    # and a dyadic grid keeps every float operation exact too
-    times = np.arange(65) / 64.0
-    traj = _samples(times, times, 2.0 * times)
-    assert time_average(traj, "u") == 0.5
-    assert time_average(traj, "v") == 1.0
-
-
-def test_time_average_prefers_full_resolution_accumulator():
-    path = generate(21, 0, 0.01, 400)
-    full = simulate(Scheme.MILSTEIN, P_FIG2, State(50.0, 10.0), 4.0, 0.01,
-                    path=path)
-    thin = simulate(Scheme.MILSTEIN, P_FIG2, State(50.0, 10.0), 4.0, 0.01,
-                    path=path, record_stride=100)
-    # the thinned record keeps the same average because the integral was
-    # accumulated step by step, not from the 5 recorded points
-    assert time_average(thin, "v") == time_average(full, "v")
-    assert time_average(thin, "v") == full.integral_v / 4.0
-
-
-def test_time_average_validates():
-    traj = _samples([0.0], [1.0], [1.0])
-    with pytest.raises(ParameterError):
-        time_average(traj, "u")
-    good = _samples([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ParameterError):
-        time_average(good, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -261,69 +211,6 @@ def test_simulate_paths_passes_outputs_to_run_batch():
     assert some.integral_u is None and some.max_total is None
     with pytest.raises(ParameterError):
         simulate_paths(*args, outputs={"integral_w"})
-
-
-# ---------------------------------------------------------------------------
-# extinction detection
-
-def _traj(times, v):
-    return _samples(times, np.zeros(len(times)), v)
-
-
-def test_detect_extinction_immediate_for_dead_path():
-    scan = detect_extinction(_traj([0, 1, 2, 3], [0.0, 0.0, 0.0, 0.0]),
-                             threshold=1e-2, window=2.0)
-    assert scan.time == 0.0
-    assert not scan.insufficient_horizon
-
-
-def test_detect_extinction_absent_when_alive():
-    scan = detect_extinction(_traj([0, 1, 2, 3], [5.0, 5.0, 5.0, 5.0]),
-                             threshold=1e-2, window=2.0)
-    assert scan.time is None
-    assert not scan.insufficient_horizon
-
-
-def test_detect_extinction_finds_earliest_window_start():
-    v = [5.0, 5.0, 0.001, 0.001, 0.001, 0.001]
-    scan = detect_extinction(_traj(range(6), v), threshold=0.01, window=2.0)
-    assert scan.time == 2.0
-    scan = detect_extinction(_traj(range(6), v), threshold=0.01, window=3.0)
-    assert scan.time == 2.0
-    # a window of 3.5 would need tau <= 1.5 where v is still large
-    scan = detect_extinction(_traj(range(6), v), threshold=0.01, window=3.5)
-    assert scan.time is None
-    assert not scan.insufficient_horizon
-
-
-def test_detect_extinction_ignores_short_dips():
-    v = [5.0, 0.001, 5.0, 0.001, 0.001, 0.001]
-    scan = detect_extinction(_traj(range(6), v), threshold=0.01, window=2.0)
-    assert scan.time == 3.0
-
-
-def test_detect_extinction_insufficient_horizon():
-    scan = detect_extinction(_traj([0, 1, 2], [0.0, 0.0, 0.0]),
-                             threshold=0.01, window=5.0)
-    assert scan.time is None
-    assert scan.insufficient_horizon
-
-
-def test_detect_extinction_validates():
-    traj = _traj([0, 1], [0, 0])
-    with pytest.raises(ParameterError):
-        detect_extinction(traj, threshold=0.0, window=1.0)
-    with pytest.raises(ParameterError):
-        detect_extinction(traj, threshold=0.1, window=0.0)
-
-
-def test_detect_extinction_on_simulated_extinction_path():
-    path = generate(20240101, 0, 0.01, 50000)
-    traj = simulate(Scheme.MILSTEIN, P_FIG1, State(50.0, 10.0), 500.0, 0.01,
-                    path=path, record_stride=10)
-    scan = detect_extinction(traj, threshold=1e-2, window=50.0)
-    assert scan.time is not None
-    assert scan.time < 450.0
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,7 @@ def test_convergence_bad_levels_exits_2(tmp_path):
     out = tmp_path / "out"
     assert main(["convergence", "--config", cfg, "--out", str(out),
                  "--levels", "2", "--quiet"]) == 2
+    assert not out.exists()  # the flag is checked before the directory is made
     assert main(["convergence", "--config", cfg, "--out", str(out),
                  "--levels", "12", "--quiet"]) == 2
 
@@ -502,6 +503,7 @@ def test_sweep_empty_grid_exits_2(tmp_path):
                  "--m-grid", "", "--sigma-grid", "0.1", "--quiet"]) == 2
     assert main(["sweep", "--config", cfg, "--out", str(out),
                  "--m-grid", "0.1,zzz", "--sigma-grid", "0.1", "--quiet"]) == 2
+    assert not out.exists()  # the grids are parsed before the directory is made
 
 
 # ---------------------------------------------------------------------------

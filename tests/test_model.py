@@ -10,10 +10,8 @@ from jobmarket import (
     State,
     ZeroNoiseError,
     classify_regime,
-    diffusion,
     drift,
     extinction_index,
-    interior_equilibrium,
     persistence_floor,
     r0s,
     ultimate_bound,
@@ -96,6 +94,25 @@ def test_drift_vanishes_at_interior_equilibrium():
     assert abs(dv) <= 1e-12
 
 
+def test_interior_equilibrium_is_a_drift_zero():
+    # the positive rest point u* = d/m, v* = (r/m)(1 - d/(m*K)) of the
+    # noise-free system; it lies in the open quadrant only when u* < K
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(500):
+        p = random_params(rng)
+        u_star = p.d / p.m
+        if u_star >= p.K:
+            continue
+        found += 1
+        eq = State(u_star, (p.r / p.m) * (1.0 - p.d / (p.m * p.K)))
+        du, dv = drift(eq, p)
+        scale = max(1.0, p.r * eq.u, p.d * eq.v)
+        assert abs(du) <= 1e-12 * scale
+        assert abs(dv) <= 1e-12 * scale
+    assert found > 50
+
+
 def test_drift_components_by_hand():
     # u=10, v=5: r*u*(1-u/K) = 9, m*u*v = 5, d*v = 1
     du, dv = drift(State(10.0, 5.0), ModelParams(1.0, 100.0, 0.1, 0.2, 0.09))
@@ -126,23 +143,6 @@ def test_drift_broadcasts_into_fresh_arrays(u, v):
         assert not (np.shares_memory(g, u) or np.shares_memory(g, v))
     assert not np.shares_memory(*got)
     assert [np.asarray(x).tobytes() for x in (u, v)] == before
-
-
-def test_diffusion_is_antisymmetric_pair():
-    gu, gv = diffusion(State(10.0, 5.0), ModelParams(1.0, 100.0, 0.1, 0.2, 0.09))
-    assert (gu, gv) == (-4.5, 4.5)
-    assert diffusion(State(7.0, 0.0), P_EXTINCT) == (0.0, 0.0)
-    assert diffusion(State(3.0, 8.0), ModelParams(1, 100, 0.1, 0.2, 0.0)) == (0.0, 0.0)
-
-
-def test_diffusion_sum_is_exactly_zero_everywhere():
-    rng = np.random.default_rng(1)
-    for _ in range(500):
-        p = random_params(rng)
-        s = State(rng.uniform(0, 300), rng.uniform(0, 300))
-        gu, gv = diffusion(s, p)
-        assert gu + gv == 0.0
-        assert gu == -gv
 
 
 def test_drift_sum_equals_noise_free_balance():
@@ -271,34 +271,3 @@ def test_regime_report_json_shape():
                             "persistence_floor", "ultimate_bound",
                             "classification", "threshold_conflict"}
     assert classify_regime(P_EXTINCT).to_dict()["classification"] == "extinction"
-
-
-# ---------------------------------------------------------------------------
-# interior equilibrium
-
-def test_interior_equilibrium_values():
-    assert interior_equilibrium(ModelParams(1.0, 100.0, 0.1, 0.2, 0.0)) == (2.0, 9.8)
-    # u* = 5, v* = (2/1)(1 - 5/10) = 1
-    assert interior_equilibrium(ModelParams(2.0, 10.0, 1.0, 5.0, 0.0)) == (5.0, 1.0)
-
-
-def test_interior_equilibrium_absent_when_u_star_reaches_K():
-    assert interior_equilibrium(ModelParams(1.0, 100.0, 0.001, 0.2, 0.0)) is None
-    assert interior_equilibrium(ModelParams(1.0, 2.0, 0.1, 0.2, 0.0)) is None
-
-
-def test_interior_equilibrium_is_a_drift_zero():
-    rng = np.random.default_rng(5)
-    found = 0
-    for _ in range(500):
-        p = random_params(rng)
-        eq = interior_equilibrium(p)
-        if eq is None:
-            assert p.d / p.m >= p.K
-            continue
-        found += 1
-        du, dv = drift(eq, p)
-        scale = max(1.0, p.r * eq.u, p.d * eq.v)
-        assert abs(du) <= 1e-12 * scale
-        assert abs(dv) <= 1e-12 * scale
-    assert found > 50

@@ -10,15 +10,20 @@ import jobmarket
 def test_every_exported_name_is_its_home_modules_object(monkeypatch):
     for name in jobmarket._LAZY:  # resolve each anew through __getattr__
         monkeypatch.delitem(vars(jobmarket), name, raising=False)
-    for name in jobmarket.__all__:
-        value = getattr(jobmarket, name)
-        if name != "__version__":
-            assert value is getattr(importlib.import_module(value.__module__), name)
     assert set(jobmarket.__all__) <= set(dir(jobmarket))
-    star: dict = {}
-    exec("from jobmarket import *", star)
-    assert {name: star[name] for name in jobmarket.__all__} == {
-        name: getattr(jobmarket, name) for name in jobmarket.__all__}
+    # the package and each public submodule: a name left in an __all__
+    # after its object is deleted fails here
+    submodules = [importlib.import_module(f"jobmarket.{name}")
+                  for name in ("model", "brownian", "integrators", "analysis")]
+    for module in (jobmarket, *submodules):
+        for name in module.__all__:
+            value = getattr(module, name)
+            if name != "__version__":
+                assert value is getattr(importlib.import_module(value.__module__), name)
+        star: dict = {}
+        exec(f"from {module.__name__} import *", star)
+        assert {name: star[name] for name in module.__all__} == {
+            name: getattr(module, name) for name in module.__all__}
 
 
 def test_an_unknown_name_raises_attribute_error():
