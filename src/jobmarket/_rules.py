@@ -90,9 +90,18 @@ def _check_paths(seed, n_paths) -> None:
     _check_key(seed, n_paths - 1)
 
 
-def _check_levels(levels) -> None:
+def _check_coupling(scheme: Scheme, levels, n_fine: int) -> None:
+    """A strong-order run of scheme over n_fine fine steps, coarsened
+    levels times by halving the step count."""
+    if scheme is Scheme.RK4:
+        raise ParameterError("strong_order measures stochastic schemes; "
+                             "RK4 has no driving path to couple")
     if not _is_int(levels) or levels < 3:
         raise ParameterError(f"levels must be an integer >= 3, got {levels!r}")
+    if n_fine % (2 ** levels) != 0:
+        raise ParameterError(
+            f"dt_fine * 2^levels must divide the horizon: {n_fine} fine steps "
+            f"are not a multiple of {2 ** levels}")
 
 
 def _resolve_steps(horizon, dt) -> int:

@@ -15,7 +15,7 @@ from typing import Collection, Sequence, TextIO
 import numpy as np
 
 from . import brownian
-from ._rules import (_check_initial, _check_levels, _check_paths, _positive_int,
+from ._rules import (_check_coupling, _check_initial, _check_paths, _positive_int,
                      _resolve_steps)
 from .errors import IntegrationError, JobMarketError, ParameterError
 from .integrators import _OUTPUTS, BatchResult, Scheme, _coupled_terminals, run_batch
@@ -192,16 +192,8 @@ def strong_order(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
     step count. The error at a level is the mean over paths of
     |u_T - u_T_ref| + |v_T - v_T_ref|.
     """
-    if scheme is Scheme.RK4:
-        raise ParameterError("strong_order measures stochastic schemes; "
-                             "RK4 has no driving path to couple")
-    _check_levels(levels)
     n_fine = _resolve_steps(horizon, dt_fine)
-    if n_fine % (2 ** levels) != 0:
-        raise ParameterError(
-            f"dt_fine * 2^levels must divide the horizon: {n_fine} fine steps "
-            f"are not a multiple of {2 ** levels}")
-
+    _check_coupling(scheme, levels, n_fine)
     stream = brownian.NoiseStream(seed, n_paths, dt_fine, n_fine)
     u0 = np.full(n_paths, float(x0[0]))
     v0 = np.full(n_paths, float(x0[1]))

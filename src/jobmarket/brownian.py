@@ -8,7 +8,8 @@ SeedSequence's words bit for bit. Distinct keys give independent streams,
 so an ensemble's paths can be produced in any order, or concurrently,
 without changing a single bit of any path. A large NoiseStream uses that:
 a forked producer process draws the next block while the caller steps
-through the current one.
+through the current one, and hands each block over in quarter-block
+chunks through a small shared ring.
 
 The sampling algorithm is pinned per release: PCG64 driven standard
 normals (numpy's ziggurat) scaled by sqrt(dt). Regenerating with the same
@@ -36,6 +37,8 @@ __all__ = ["BrownianPath", "NoiseStream", "generate"]
 _BLOCK_BYTES = 16_000_000  # noise resident per stream, over every buffer it keeps
 _BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
 _FORK_MIN = 2**20  # paths x steps from which a producer process pays back its fork
+_CHUNKS = 4  # a block reaches the caller in this many chunks
+_RING = _CHUNKS + 1  # chunk slots shared with a producer: one block and a chunk
 
 
 @dataclass(frozen=True)
@@ -169,23 +172,44 @@ def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPat
                         path_index=path_index)
 
 
-def _scaled(draws, scale: float, out: np.ndarray):
-    """Each view of draws times scale, written time-major into out."""
+def _chunks(draws, chunk: int):
+    """Each view of draws cut into column chunks of at most chunk steps;
+    the next view is drawn once the last chunk of this one is taken."""
     for rows in draws:
-        yield np.multiply(rows.T, scale, out=out[:rows.shape[1]])
+        for start in range(0, rows.shape[1], chunk):
+            yield rows[:, start:start + chunk]
 
 
-def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
-    """The blocks of draws times scale, time-major, from a forked producer.
+def _chunk_widths(n_steps: int, block: int, chunk: int) -> list[int]:
+    """The widths of the chunks _chunks cuts a stream's blocks into."""
+    widths = []
+    for first in range(0, n_steps, block):
+        width = min(block, n_steps - first)
+        widths += [min(chunk, width - start) for start in range(0, width, chunk)]
+    return widths
 
-    The producer writes block j into slots[j % 2] while the caller steps
-    through block j - 1 in the other slot. Pipes carry one byte per block
-    each way: "ready" from the producer, "free" from the caller once it
-    asks for the block after. The producer leaves by os._exit, so it never
-    unwinds into the caller's frames or runs their cleanup, and it exits
-    when the "free" pipe reaches EOF.
+
+def _scaled(chunks, scale: float, out: np.ndarray):
+    """Each chunk times scale, written time-major into out."""
+    for part in chunks:
+        yield np.multiply(part.T, scale, out=out[:part.shape[1]])
+
+
+def _produced(chunks, scale: float, ring: np.ndarray, widths: list[int]):
+    """The chunks times scale, time-major, from a forked producer.
+
+    The producer writes chunk g into ring[g % len(ring)], once the caller
+    has freed the chunk that slot held before. Pipes carry one byte per
+    chunk each way: "ready" from the producer, "free" from the caller once
+    it asks for the chunk after. The producer draws block j + 1 once it has
+    written the last chunk of block j, which a ring of one block and one
+    chunk allows once the caller has reached the last chunk of block j - 1:
+    the caller has 1 1/4 blocks to step while the next one is drawn. The
+    producer leaves by os._exit, so it never unwinds into the caller's
+    frames or runs their cleanup, and it exits when the "free" pipe
+    reaches EOF.
     """
-    block = slots.shape[1]
+    slots = len(ring)
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
     try:
@@ -201,7 +225,7 @@ def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
     except OSError:  # no process to spare (EAGAIN, ENOMEM): draw in process
         for fd in (ready_r, ready_w, free_r, free_w):
             os.close(fd)
-        yield from _scaled(draws, scale, slots[0])
+        yield from _scaled(chunks, scale, ring[0])
         return
     if pid == 0:
         code = 1
@@ -209,10 +233,10 @@ def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
             gc.disable()  # no finalizer of an object inherited from the caller runs here
             os.close(ready_r)
             os.close(free_w)
-            for j, rows in enumerate(draws):
-                if j >= 2 and not os.read(free_r, 1):
+            for g, part in enumerate(chunks):
+                if g >= slots and not os.read(free_r, 1):
                     break  # the caller is gone
-                np.multiply(rows.T, scale, out=slots[j % 2, :rows.shape[1]])
+                np.multiply(part.T, scale, out=ring[g % slots, :part.shape[1]])
                 os.write(ready_w, b"\0")
             code = 0
         finally:
@@ -220,12 +244,12 @@ def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
     os.close(ready_w)
     os.close(free_r)
     try:
-        for j, start in enumerate(range(0, n_steps, block)):
+        for g, width in enumerate(widths):
             if not os.read(ready_r, 1):
                 raise RuntimeError(f"the noise producer process {pid} ended "
-                                   f"before block {j} of the stream")
-            yield slots[j % 2, :min(block, n_steps - start)]
-            if start + 2 * block < n_steps:
+                                   f"before chunk {g} of the stream")
+            yield ring[g % slots, :width]
+            if g + slots < len(widths):
                 # a producer that died reaches EOF on the "ready" pipe, not here
                 with contextlib.suppress(BrokenPipeError):
                     os.write(free_w, b"\0")
@@ -240,11 +264,14 @@ def _produced(draws, scale: float, slots: np.ndarray, n_steps: int):
 
 class NoiseStream:
     """Paths i < n_paths of generate(seed, i, dt, n_steps), bit for bit, as time-major
-    (<= block, n_paths) views of reused buffers; nbytes counts the noise bytes resident.
+    (<= ceil(block / _CHUNKS), n_paths) views of reused buffers; nbytes counts the
+    noise bytes resident.
 
-    At n_paths * n_steps >= _FORK_MIN, where fork exists and two CPUs are
-    usable, a forked producer process draws each block while the caller
-    steps through the one before; otherwise the blocks are drawn in process.
+    The paths are drawn a block of steps at a time and handed over in
+    _CHUNKS chunks per block. At n_paths * n_steps >= _FORK_MIN, where fork
+    exists and two CPUs are usable, a forked producer process draws each
+    block while the caller steps through the chunks before it; otherwise
+    the blocks are drawn in process.
     """
 
     def __init__(self, seed: int, n_paths: int, dt: float, n_steps: int):
@@ -253,10 +280,13 @@ class NoiseStream:
         self.seed, self.n_paths, self.n_steps = seed, n_paths, n_steps
         self._forks = (hasattr(os, "fork") and n_paths * n_steps >= _FORK_MIN
                        and _usable_cpus() >= 2)
-        # a row buffer, plus one block in process or two shared slots forked
-        buffers = 3 if self._forks else 2
-        self.block = self._block_steps(n_paths, n_steps, buffers)
-        self.nbytes = 8 * buffers * n_paths * self.block
+        # rows resident: the row buffer the generators fill (a block), plus
+        # one chunk in process or the ring of _RING chunks forked; a forked
+        # block takes a third of the cap, so that all fit from 3-step blocks on
+        self.block = self._block_steps(n_paths, n_steps, 3 if self._forks else 2)
+        self._chunk = -(-self.block // _CHUNKS)
+        rows = self.block + (_RING if self._forks else 1) * self._chunk
+        self.nbytes = 8 * n_paths * rows
 
     @staticmethod
     def _block_steps(n_paths: int, n_steps: int, buffers: int = 2) -> int:
@@ -266,15 +296,20 @@ class NoiseStream:
         return self._iter(None)
 
     def _iter(self, settled: np.ndarray | None):
-        """The blocks, skipping the draws of each path whose byte in settled
+        """The chunks, skipping the draws of each path whose byte in settled
         (a bool _mapped array) is set when its block is drawn: that path's
-        columns then hold stale finite values. A forked producer may draw a
-        block while the caller still steps the block two before it."""
+        columns then hold stale finite values. A block is drawn once the
+        last chunk of the block before is taken, so in process the caller
+        has stepped every block before it, while a forked producer may draw
+        it when the caller still steps the block two before it (from that
+        block's last chunk on, when a block has _CHUNKS chunks)."""
         draws = _blocks(self.seed, range(self.n_paths), self.n_steps,
                         _mapped(self.n_paths, self.block), settled)
+        chunks = _chunks(draws, self._chunk)
         scale = math.sqrt(self.dt)
         if self._forks:
-            slots = _mapped(2, self.block, self.n_paths)
-            yield from _produced(draws, scale, slots, self.n_steps)
+            ring = _mapped(_RING, self._chunk, self.n_paths)
+            widths = _chunk_widths(self.n_steps, self.block, self._chunk)
+            yield from _produced(chunks, scale, ring, widths)
         else:
-            yield from _scaled(draws, scale, _mapped(self.block, self.n_paths))
+            yield from _scaled(chunks, scale, _mapped(self._chunk, self.n_paths))

@@ -24,7 +24,7 @@ from typing import Callable, Sequence, TextIO
 # the handlers that step import them, and --help, thresholds and a config
 # error run without numpy
 from . import __version__, scenarios
-from ._rules import (Scheme, _as_finite_float, _check_initial, _check_levels,
+from ._rules import (Scheme, _as_finite_float, _check_coupling, _check_initial,
                      _check_paths, _check_stride, _resolve_steps)
 from .errors import IntegrationError, ParameterError, ZeroNoiseError
 from .model import ModelParams, State, classify_regime
@@ -189,7 +189,8 @@ def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
 def _cmd_convergence(cfg: ScenarioConfig, args) -> int:
     from . import analysis
 
-    _check_levels(args.levels)  # before _out_dir: a bad flag creates no directory
+    # before _out_dir: input strong_order rejects creates no directory
+    _check_coupling(cfg.scheme, args.levels, _resolve_steps(cfg.horizon, cfg.dt))
     out = _out_dir(cfg, args)
     report = analysis.strong_order(cfg.params, cfg.scheme, cfg.x0,
                                    cfg.horizon, dt_fine=cfg.dt,

@@ -344,8 +344,9 @@ def test_strong_order_streams_noise_in_bounded_memory():
 def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, forks, run):
     # the noise buffers live in mappings of their own, which tracemalloc
     # does not see, so their sizes are bounded here; the stream forks a
-    # producer, and all three of its buffers (the producer's row buffer and
-    # two shared slots) are mapped before the fork, where this spy sees them
+    # producer, and both of its buffers (the producer's row buffer and the
+    # shared ring of five quarter-block chunks) are mapped before the fork,
+    # where this spy sees them
     requested = []
     mapped = brownian._mapped
 
@@ -357,8 +358,9 @@ def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, forks, run):
     monkeypatch.setattr(brownian, "_mapped", spy)
     run()  # 1000 paths x 8192 steps: 65.5 MB of increments
     assert len(forks) == 1
-    row_buffer = 1000 * 8 * (brownian._BLOCK_BYTES // (3 * 1000 * 8))
-    assert sorted(requested) == [row_buffer, 2 * row_buffer]
+    block = brownian._BLOCK_BYTES // (3 * 1000 * 8)
+    row_buffer, ring = 1000 * 8 * block, 5 * 1000 * 8 * math.ceil(block / 4)
+    assert sorted(requested) == [row_buffer, ring]
     assert sum(requested) <= brownian._BLOCK_BYTES
 
 

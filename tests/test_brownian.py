@@ -5,6 +5,7 @@ import mmap
 import os
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -206,8 +207,9 @@ def test_stream_columns_equal_generated_paths(monkeypatch, seed, n_paths,
     monkeypatch.setattr(brownian, "_BLOCK_BYTES", byte_cap)
     stream = NoiseStream(seed, n_paths, dt, n_steps)
     assert stream.block == max(1, min(n_steps, step_cap, byte_cap // (16 * n_paths)))
-    blocks = [block.copy() for block in stream]  # blocks share one buffer
-    assert all(b.shape[1] == n_paths and len(b) <= stream.block for b in blocks)
+    blocks = [block.copy() for block in stream]  # chunks share one buffer
+    chunk = math.ceil(stream.block / 4)
+    assert all(b.shape[1] == n_paths and len(b) <= chunk for b in blocks)
     stacked = np.concatenate(blocks)
     assert stacked.shape == (n_steps, n_paths)
     for i in range(n_paths):
@@ -216,16 +218,19 @@ def test_stream_columns_equal_generated_paths(monkeypatch, seed, n_paths,
 
 
 def test_stream_blocks_are_contiguous_bounded_and_redrawn_per_iteration(monkeypatch):
-    # in process a row buffer and a block; forked, the producer's row buffer
-    # and two shared slots: each (block x 4000) doubles, all under the cap
-    for cpus, buffers in [(1, 2), (2, 3)]:
+    # a (block x 4000) row buffer, plus one chunk of a quarter block in
+    # process or a shared ring of five chunks forked, where the block is a
+    # third of the cap instead of a half; all under the cap
+    for cpus, buffers, slots in [(1, 2, 1), (2, 3, 5)]:
         monkeypatch.setattr(brownian, "_usable_cpus", lambda n=cpus: n)
         stream = NoiseStream(3, 4000, 0.01, 10_000)
         assert stream.block == brownian._BLOCK_BYTES // (buffers * 4000 * 8)
-        assert stream.nbytes == buffers * stream.block * 4000 * 8 <= brownian._BLOCK_BYTES
+        chunk = math.ceil(stream.block / 4)
+        assert (stream.nbytes == (stream.block + slots * chunk) * 4000 * 8
+                <= brownian._BLOCK_BYTES)
         first = next(iter(stream)).copy()
         block = next(iter(stream))
-        assert block.flags.c_contiguous and block.shape == (stream.block, 4000)
+        assert block.flags.c_contiguous and block.shape == (chunk, 4000)
         assert np.array_equal(block, first)
     narrow = NoiseStream(3, 10, 0.01, 10_000)
     assert narrow.block == brownian._BLOCK_STEPS < 10_000
@@ -246,16 +251,49 @@ def test_forked_stream_columns_equal_generated_paths(monkeypatch, forks, seed,
     monkeypatch.setattr(brownian, "_FORK_MIN", 0)
     monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
     stream = NoiseStream(seed, n_paths, dt, n_steps)
-    assert stream.nbytes == 3 * 8 * n_paths * stream.block
+    chunk = math.ceil(stream.block / 4)
+    assert stream.nbytes == 8 * n_paths * (stream.block + 5 * chunk)
     before = len(forks)
-    blocks = [block.copy() for block in stream]  # blocks share two slots
+    blocks = [block.copy() for block in stream]  # chunks share five slots
     assert len(forks) == before + 1
-    assert all(b.shape[1] == n_paths and len(b) <= stream.block for b in blocks)
+    assert all(b.shape[1] == n_paths and len(b) <= chunk for b in blocks)
     stacked = np.concatenate(blocks)
     assert stacked.shape == (n_steps, n_paths)
     for i in range(n_paths):
         expected = generate(seed, i, dt, n_steps).increments
         assert stacked[:, i].tobytes() == expected.tobytes()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("slow", ["consumer", "producer"])
+def test_the_ring_hands_over_every_chunk_to_a_slow_side(monkeypatch, forks, slow):
+    # 7-step blocks in chunks of 2, 2, 2 and 1, and a last block of 3 in 2, 1:
+    # chunk edges fall inside blocks, and the ring's slot of a chunk moves
+    # from block to block. A slow consumer makes the producer wait for
+    # "free" bytes with the ring full; a slow producer makes the consumer
+    # wait for "ready" bytes with it empty.
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 7)
+    if slow == "producer":
+        blocks = brownian._blocks
+
+        def slow_blocks(*args):
+            for view in blocks(*args):
+                time.sleep(0.01)
+                yield view
+
+        monkeypatch.setattr(brownian, "_blocks", slow_blocks)  # before the fork
+    chunks = []
+    with _within(10):
+        for chunk in NoiseStream(9, 3, 0.01, 45):
+            chunks.append(chunk.copy())
+            if slow == "consumer":
+                time.sleep(0.002)
+    assert len(forks) == 1
+    assert [len(c) for c in chunks] == [2, 2, 2, 1] * 6 + [2, 1]
+    stacked = np.concatenate(chunks)
+    for i in range(3):
+        assert stacked[:, i].tobytes() == generate(9, i, 0.01, 45).increments.tobytes()
     _no_child_left()
 
 
@@ -297,7 +335,7 @@ def test_stream_draws_in_process_without_fork_or_a_second_cpu(monkeypatch, forks
     monkeypatch.delattr(os, "fork")
     no_fork = NoiseStream(5, 512, 0.01, 4096)
     for stream in one_cpu, no_fork:
-        assert stream.nbytes == 2 * 8 * 512 * stream.block
+        assert stream.nbytes == 8 * 512 * (stream.block + math.ceil(stream.block / 4))
         next(iter(stream))
     assert forks == []
 
@@ -341,7 +379,8 @@ def test_forking_a_multithreaded_process_warns_nothing(monkeypatch, forks):
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert len(list(NoiseStream(1, 2, 0.01, 50))) == 1
+            # one block of 50 steps, in chunks of 13, 13, 13 and 11
+            assert len(list(NoiseStream(1, 2, 0.01, 50))) == 4
     finally:
         release.set()
         thread.join(30)

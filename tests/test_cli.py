@@ -426,12 +426,15 @@ def test_convergence_writes_report(tmp_path):
 
 def test_convergence_bad_levels_exits_2(tmp_path):
     cfg = write_config(tmp_path, horizon=1.0, dt=2.0**-9, record_stride=1)
+    rk4 = write_config(tmp_path, "rk4.json", horizon=1.0, dt=2.0**-9,
+                       record_stride=1, scheme="rk4")
     out = tmp_path / "out"
-    assert main(["convergence", "--config", cfg, "--out", str(out),
-                 "--levels", "2", "--quiet"]) == 2
-    assert not out.exists()  # the flag is checked before the directory is made
-    assert main(["convergence", "--config", cfg, "--out", str(out),
-                 "--levels", "12", "--quiet"]) == 2
+    # levels below 3, 2^12 not dividing 512 fine steps, and a scheme with no
+    # noise to couple: each is checked before the directory is made
+    for config, levels in [(cfg, "2"), (cfg, "12"), (rk4, "3")]:
+        assert main(["convergence", "--config", config, "--out", str(out),
+                     "--levels", levels, "--quiet"]) == 2
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
