@@ -90,6 +90,18 @@ def _check_paths(seed, n_paths) -> None:
     _check_key(seed, n_paths - 1)
 
 
+def _check_noise_fit(noise_paths: int, noise_steps: int, noise_dt: float,
+                     n_paths: int, n_steps: int, dt: float) -> None:
+    """Noise of noise_paths paths x noise_steps increments at noise_dt can
+    drive n_paths paths x n_steps steps of dt: the path counts agree, the
+    noise covers the steps, and its dt is dt to within 1e-12 relative."""
+    if (noise_paths != n_paths or noise_steps < n_steps
+            or abs(noise_dt - dt) > 1e-12 * dt):
+        raise ParameterError(
+            f"noise of {noise_paths} path(s) x {noise_steps} steps at dt {noise_dt} "
+            f"does not fit {n_paths} path(s) x {n_steps} steps at dt {dt}")
+
+
 def _check_coupling(scheme: Scheme, levels, n_fine: int) -> None:
     """A strong-order run of scheme over n_fine fine steps, coarsened
     levels times by halving the step count."""

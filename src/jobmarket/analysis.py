@@ -238,9 +238,10 @@ class RegimeCell:
     error: str | None = None
 
 
-def _observe(batch: BatchResult, floor: float | None) -> tuple[Observation, float]:
-    mean_terminal_v = float(batch.terminal_v.mean())
-    mean_tavg_v = float(batch.time_average_v().mean())
+def _observe(terminal_v: np.ndarray, time_average_v: np.ndarray,
+             floor: float | None) -> tuple[Observation, float]:
+    mean_terminal_v = float(terminal_v.mean())
+    mean_tavg_v = float(time_average_v.mean())
     persist_eps = 0.5 * floor if floor is not None else PERSIST_EPS_DEFAULT
     if mean_terminal_v < EXTINCT_EPS:
         return Observation.V_EXTINCT, mean_tavg_v
@@ -291,11 +292,13 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
         batch = simulate_paths([params for params, _ in valid.values()],
                                scheme, x0, horizon, dt, n_paths, seed,
                                record_stride=record_stride, outputs={"integral_v"})
+        time_average_v = batch.time_average_v()
         for c, (i, (params, predicted)) in enumerate(valid.items()):
             if batch.errors[c] is not None:
                 cells[i] = _failed_cell(*grid[i], batch.errors[c])
                 continue
-            observed, tavg = _observe(batch.cell(c), persistence_floor(params))
+            observed, tavg = _observe(batch.terminal_v[c], time_average_v[c],
+                                      persistence_floor(params))
             cells[i] = RegimeCell(m=float(grid[i][0]), sigma=float(grid[i][1]),
                                   predicted=predicted, observed=observed,
                                   v_time_avg=tavg)

@@ -38,7 +38,7 @@ _BLOCK_BYTES = 16_000_000  # noise resident per stream, over every buffer it kee
 _BLOCK_STEPS = 4096  # so a narrow batch does not buffer the whole horizon
 _FORK_MIN = 2**20  # paths x steps from which a producer process pays back its fork
 _CHUNKS = 4  # a block reaches the caller in this many chunks
-_RING = _CHUNKS + 1  # chunk slots shared with a producer: one block and a chunk
+_RING = _CHUNKS + 1  # chunk slots shared with a producer, at most: one block and a chunk
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ class BrownianPath:
     @property
     def n_steps(self) -> int:
         return len(self.increments)
-
-    @property
-    def horizon(self) -> float:
-        """Covered time span, n_steps * dt."""
-        return self.n_steps * self.dt
 
 
 def _mapped(*shape: int, dtype=float) -> np.ndarray:
@@ -172,21 +167,25 @@ def generate(seed: int, path_index: int, dt: float, n_steps: int) -> BrownianPat
                         path_index=path_index)
 
 
-def _chunks(draws, chunk: int):
-    """Each view of draws cut into column chunks of at most chunk steps;
-    the next view is drawn once the last chunk of this one is taken."""
-    for rows in draws:
-        for start in range(0, rows.shape[1], chunk):
-            yield rows[:, start:start + chunk]
-
-
-def _chunk_widths(n_steps: int, block: int, chunk: int) -> list[int]:
-    """The widths of the chunks _chunks cuts a stream's blocks into."""
-    widths = []
+def _cuts(n_steps: int, block: int, chunk: int):
+    """(first column, width) of each chunk in stream order, as a stream of
+    n_steps steps drawn block steps at a time is cut into chunks of at
+    most chunk steps: the one rule by which _chunks cuts the drawn blocks
+    and a producer's caller reads its ring. Lazy, so it holds no list
+    that grows with n_steps."""
     for first in range(0, n_steps, block):
         width = min(block, n_steps - first)
-        widths += [min(chunk, width - start) for start in range(0, width, chunk)]
-    return widths
+        for start in range(0, width, chunk):
+            yield start, min(chunk, width - start)
+
+
+def _chunks(draws, cuts):
+    """The views of draws cut by cuts; the next view is drawn once the
+    last chunk of this one is taken."""
+    for start, width in cuts:
+        if start == 0:
+            rows = next(draws)
+        yield rows[:, start:start + width]
 
 
 def _scaled(chunks, scale: float, out: np.ndarray):
@@ -195,8 +194,9 @@ def _scaled(chunks, scale: float, out: np.ndarray):
         yield np.multiply(part.T, scale, out=out[:part.shape[1]])
 
 
-def _produced(chunks, scale: float, ring: np.ndarray, widths: list[int]):
-    """The chunks times scale, time-major, from a forked producer.
+def _produced(chunks, scale: float, ring: np.ndarray, cuts):
+    """The chunks times scale, time-major, from a forked producer; cuts
+    are the chunks' (first column, width), as _cuts gives them.
 
     The producer writes chunk g into ring[g % len(ring)], once the caller
     has freed the chunk that slot held before. Pipes carry one byte per
@@ -205,9 +205,10 @@ def _produced(chunks, scale: float, ring: np.ndarray, widths: list[int]):
     written the last chunk of block j, which a ring of one block and one
     chunk allows once the caller has reached the last chunk of block j - 1:
     the caller has 1 1/4 blocks to step while the next one is drawn. The
-    producer leaves by os._exit, so it never unwinds into the caller's
-    frames or runs their cleanup, and it exits when the "free" pipe
-    reaches EOF.
+    ring of a 1- or 2-step block holds two blocks, so there the producer
+    waits until the caller steps block j - 1. The producer leaves by
+    os._exit, so it never unwinds into the caller's frames or runs their
+    cleanup, and it exits when the "free" pipe reaches EOF.
     """
     slots = len(ring)
     ready_r, ready_w = os.pipe()
@@ -243,13 +244,15 @@ def _produced(chunks, scale: float, ring: np.ndarray, widths: list[int]):
             os._exit(code)
     os.close(ready_w)
     os.close(free_r)
+    cuts, ahead = itertools.tee(cuts)
+    ahead = itertools.islice(ahead, slots, None)  # chunk g + slots, at chunk g
     try:
-        for g, width in enumerate(widths):
+        for g, (_, width) in enumerate(cuts):
             if not os.read(ready_r, 1):
                 raise RuntimeError(f"the noise producer process {pid} ended "
                                    f"before chunk {g} of the stream")
             yield ring[g % slots, :width]
-            if g + slots < len(widths):
+            if next(ahead, None) is not None:
                 # a producer that died reaches EOF on the "ready" pipe, not here
                 with contextlib.suppress(BrokenPipeError):
                     os.write(free_w, b"\0")
@@ -281,12 +284,13 @@ class NoiseStream:
         self._forks = (hasattr(os, "fork") and n_paths * n_steps >= _FORK_MIN
                        and _usable_cpus() >= 2)
         # rows resident: the row buffer the generators fill (a block), plus
-        # one chunk in process or the ring of _RING chunks forked; a forked
-        # block takes a third of the cap, so that all fit from 3-step blocks on
+        # one chunk in process or, forked, a ring of _RING chunks that spans
+        # at most two blocks; a forked block takes a third of the cap, so
+        # that all fit whenever one row of each does
         self.block = self._block_steps(n_paths, n_steps, 3 if self._forks else 2)
         self._chunk = -(-self.block // _CHUNKS)
-        rows = self.block + (_RING if self._forks else 1) * self._chunk
-        self.nbytes = 8 * n_paths * rows
+        self._slots = min(_RING, 2 * self.block // self._chunk) if self._forks else 1
+        self.nbytes = 8 * n_paths * (self.block + self._slots * self._chunk)
 
     @staticmethod
     def _block_steps(n_paths: int, n_steps: int, buffers: int = 2) -> int:
@@ -305,11 +309,11 @@ class NoiseStream:
         block's last chunk on, when a block has _CHUNKS chunks)."""
         draws = _blocks(self.seed, range(self.n_paths), self.n_steps,
                         _mapped(self.n_paths, self.block), settled)
-        chunks = _chunks(draws, self._chunk)
+        layout = (self.n_steps, self.block, self._chunk)
+        chunks = _chunks(draws, _cuts(*layout))
         scale = math.sqrt(self.dt)
+        ring = _mapped(self._slots, self._chunk, self.n_paths)
         if self._forks:
-            ring = _mapped(_RING, self._chunk, self.n_paths)
-            widths = _chunk_widths(self.n_steps, self.block, self._chunk)
-            yield from _produced(chunks, scale, ring, widths)
+            yield from _produced(chunks, scale, ring, _cuts(*layout))
         else:
-            yield from _scaled(chunks, scale, _mapped(self._chunk, self.n_paths))
+            yield from _scaled(chunks, scale, ring[0])

@@ -32,7 +32,7 @@ and cancel exactly.
 
 Positivity policy: the exact solution stays positive but a discrete step
 can overshoot. A component that lands at or below -DBL_MIN is clamped to
-zero and the event is logged; magnitudes inside the subnormal range
+zero and the event is counted; magnitudes inside the subnormal range
 (below ~2.2e-308, where fixed-quantum rounding can flip signs on its own)
 are flushed to exact zero silently, which makes extinction absorbing.
 RK4 has no noise to blame, so it only repairs negativities smaller than
@@ -48,14 +48,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
 from . import brownian
-from ._rules import Scheme, _check_initial, _check_stride, _positive_finite, _resolve_steps
+from ._rules import (Scheme, _check_initial, _check_noise_fit, _check_stride,
+                     _positive_finite, _resolve_steps)
 from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
@@ -214,10 +215,9 @@ class Trajectory:
 
     times/u/v/clamped are aligned arrays; ``clamped[i]`` means at least one
     positivity clamp happened in the steps since the previous recorded row.
-    clamp_count and clamp_times log every event at full step resolution,
-    independent of the recording stride, as do the trapezoidal integrals
-    integral_u/integral_v (populated by simulate, None on hand-built
-    trajectories).
+    clamp_count counts every clamp at full step resolution, independent of
+    the recording stride, as the trapezoidal integrals integral_u/integral_v
+    are taken (populated by simulate, None on hand-built trajectories).
     """
 
     times: np.ndarray
@@ -227,7 +227,6 @@ class Trajectory:
     scheme: Scheme | None = None
     params: ModelParams | None = None
     clamp_count: int = 0
-    clamp_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     seed: int | None = None
     path_index: int | None = None
     integral_u: float | None = None
@@ -235,25 +234,18 @@ class Trajectory:
     max_total: float | None = None
 
     @property
-    def n_points(self) -> int:
-        return len(self.times)
-
-    @property
     def horizon(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def state(self, i: int) -> State:
-        return State(float(self.u[i]), float(self.v[i]))
-
     @property
     def terminal(self) -> State:
-        return self.state(-1)
+        return State(float(self.u[-1]), float(self.v[-1]))
 
     def to_csv(self, fp: TextIO) -> None:
         """Write rows t,u,v,clamped with round-trip decimal formatting."""
         fp.write("t,u,v,clamped\n")
         flags = self.clamped
-        for i in range(self.n_points):
+        for i in range(len(self.times)):
             fp.write(f"{float(self.times[i])!r},{float(self.u[i])!r},"
                      f"{float(self.v[i])!r},{1 if flags[i] else 0}\n")
 
@@ -349,16 +341,10 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
     u, v = float(x0[0]), float(x0[1])
     _check_initial(u, v)
 
-    clamp_times: list[float] = []
     if scheme.is_stochastic:
         if path is None:
             raise ParameterError(f"scheme {scheme.value} requires a Brownian path")
-        if abs(path.dt - dt) > 1e-12 * dt:
-            raise ParameterError(
-                f"path dt {path.dt} does not match requested dt {dt}")
-        if path.n_steps < n_steps:
-            raise ParameterError(
-                f"path covers {path.n_steps} steps, {n_steps} needed")
+        _check_noise_fit(1, path.n_steps, path.dt, 1, n_steps, dt)
         noise = path.increments[:n_steps].tolist()
     else:
         if path is not None:
@@ -368,12 +354,9 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
 
     def step(k, u, v, dB):
         try:
-            un, vn, clamped = _scalar_next(update, u, v, dt, dB, p)
+            return _scalar_next(update, u, v, dt, dB, p)
         except IntegrationError as exc:
             raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
-        if clamped:
-            clamp_times.append(k * dt)
-        return un, vn, clamped
 
     records = _Records()
     times, u, v, count, integral_u, integral_v, max_total = _advance(
@@ -385,7 +368,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
     return Trajectory(
         times=times, u=records.U, v=records.V, clamped=records.clamped,
         scheme=scheme, params=p,
-        clamp_count=count, clamp_times=np.array(clamp_times),
+        clamp_count=count,
         seed=path.seed if path is not None else None,
         path_index=path.path_index if path is not None else None,
         integral_u=integral_u, integral_v=integral_v, max_total=max_total,
@@ -426,29 +409,11 @@ class BatchResult:
         return self.clamp_counts.size
 
     @property
-    def terminal_u(self) -> np.ndarray:
-        return self.U[..., -1]
-
-    @property
     def terminal_v(self) -> np.ndarray:
         return self.V[..., -1]
 
     def time_average_v(self) -> np.ndarray:
         return self.integral_v / float(self.times[-1])
-
-    def cell(self, c: int) -> "BatchResult":
-        """Row c of a multi-cell run as a single-cell result of contiguous
-        copies, laid out exactly as a run of that cell alone; a field the
-        run left out stays None."""
-        def row(a):
-            return None if a is None else a[c].copy()
-
-        return BatchResult(
-            times=self.times, U=row(self.U), V=row(self.V),
-            clamped=row(self.clamped), clamp_counts=row(self.clamp_counts),
-            integral_u=row(self.integral_u), integral_v=row(self.integral_v),
-            max_total=row(self.max_total), errors=self.errors[c:c + 1],
-            scheme=self.scheme, params=self.params[c])
 
 
 def _stack_params(ps: tuple[ModelParams, ...], n_paths: int) -> SimpleNamespace:
@@ -583,11 +548,7 @@ def _noise_rows(dW, n_paths: int, n_steps: int, dt: float,
     A stream skips the draws of the paths flagged in settled (see
     NoiseStream._iter)."""
     if isinstance(dW, NoiseStream):
-        if (dW.n_paths != n_paths or dW.n_steps < n_steps
-                or abs(dW.dt - dt) > 1e-12 * dt):
-            raise ParameterError(
-                f"noise stream of {dW.n_paths} paths x {dW.n_steps} steps at dt "
-                f"{dW.dt} does not fit {n_paths} paths x {n_steps} steps at dt {dt}")
+        _check_noise_fit(dW.n_paths, dW.n_steps, dW.dt, n_paths, n_steps, dt)
         blocks = dW._iter(settled)
     elif (isinstance(dW, np.ndarray) and dW.ndim == 2 and dW.shape[0] == n_paths
           and dW.shape[1] >= n_steps):

@@ -275,7 +275,7 @@ def _strong_order_reference(p, scheme, x0, horizon, dt_fine, levels, n_paths,
         out = run_batch(scheme, p, u0, v0, horizon, dt_level,
                         group_sums(noise, factor).T,
                         record_stride=n_fine // factor)
-        err = float(np.mean(np.abs(out.terminal_u - ref.terminal_u)
+        err = float(np.mean(np.abs(out.U[..., -1] - ref.U[..., -1])
                             + np.abs(out.terminal_v - ref.terminal_v)))
         if err <= 0.0:
             raise IntegrationError(
@@ -499,7 +499,8 @@ def _per_cell_reference(base, m_grid, sigma_grid, scheme, x0, horizon, dt,
                 predicted = classify_regime(params).classification
                 batch = simulate_paths(params, scheme, x0, horizon, dt,
                                        n_paths, seed)
-                observed, tavg = _observe(batch, persistence_floor(params))
+                observed, tavg = _observe(batch.terminal_v, batch.time_average_v(),
+                                          persistence_floor(params))
             except JobMarketError as exc:
                 out.append((None, None, None, str(exc)))
                 continue

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,6 @@ def test_regeneration_is_bit_identical():
     assert np.array_equal(a.increments, b.increments)
     assert (a.dt, a.seed, a.path_index) == (0.01, 42, 0)
     assert a.n_steps == 1000
-    assert a.horizon == pytest.approx(10.0, rel=1e-15)
 
 
 def test_distinct_keys_give_distinct_streams():
@@ -252,9 +252,10 @@ def test_forked_stream_columns_equal_generated_paths(monkeypatch, forks, seed,
     monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
     stream = NoiseStream(seed, n_paths, dt, n_steps)
     chunk = math.ceil(stream.block / 4)
-    assert stream.nbytes == 8 * n_paths * (stream.block + 5 * chunk)
+    slots = min(5, 2 * stream.block // chunk)  # two, for a one-step block
+    assert stream.nbytes == 8 * n_paths * (stream.block + slots * chunk)
     before = len(forks)
-    blocks = [block.copy() for block in stream]  # chunks share five slots
+    blocks = [block.copy() for block in stream]  # chunks share the ring's slots
     assert len(forks) == before + 1
     assert all(b.shape[1] == n_paths and len(b) <= chunk for b in blocks)
     stacked = np.concatenate(blocks)
@@ -294,6 +295,63 @@ def test_the_ring_hands_over_every_chunk_to_a_slow_side(monkeypatch, forks, slow
     stacked = np.concatenate(chunks)
     for i in range(3):
         assert stacked[:, i].tobytes() == generate(9, i, 0.01, 45).increments.tobytes()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n_paths", [285_714, 300_000, 500_000, 666_666])
+def test_a_forked_stream_stays_under_the_byte_cap_down_to_one_step_blocks(forks,
+                                                                          n_paths):
+    # blocks of 2, 2, 1 and 1 steps, where five one-step ring slots would
+    # pass the cap; the ring then holds two blocks
+    stream = NoiseStream(1, n_paths, 0.01, 100)
+    assert stream.block <= 2
+    assert stream.nbytes <= brownian._BLOCK_BYTES
+    assert forks == []  # constructing a stream draws nothing
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_a_ring_of_fewer_than_five_slots_hands_over_every_chunk(monkeypatch, forks,
+                                                                block):
+    # a byte cap that leaves 3 paths one- or two-step blocks: one-step
+    # chunks in a ring of two blocks, 2 or 4 slots
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_BYTES", 3 * 8 * 3 * block)
+    stream = NoiseStream(9, 3, 0.01, 45)
+    assert stream.block == block
+    assert stream.nbytes == 8 * 3 * 3 * block == brownian._BLOCK_BYTES
+    with _within(10):
+        chunks = [chunk.copy() for chunk in stream]
+    assert len(forks) == 1
+    assert [len(c) for c in chunks] == [1] * 45
+    stacked = np.concatenate(chunks)
+    for i in range(3):
+        assert stacked[:, i].tobytes() == generate(9, i, 0.01, 45).increments.tobytes()
+    _no_child_left()
+
+
+def _first_chunk_peak(n_steps: int) -> int:
+    """The caller's traced peak while a forked stream of n_steps steps
+    hands over its first chunk."""
+    stream = NoiseStream(5, 4, 0.01, n_steps)
+    tracemalloc.start()
+    try:
+        chunks = iter(stream)
+        next(chunks)
+        chunks.close()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_chunk_schedule_does_not_grow_with_the_steps(monkeypatch, forks):
+    # the layout of 4000 paths, 166-step blocks in 42-step chunks, on 4
+    # paths: 10^7 steps are 240 964 chunks, whose widths a list held in 2 MB
+    monkeypatch.setattr(brownian, "_FORK_MIN", 0)
+    monkeypatch.setattr(brownian, "_BLOCK_STEPS", 166)
+    _first_chunk_peak(10**4)  # first-call allocations
+    short, long = _first_chunk_peak(10**4), _first_chunk_peak(10**7)
+    assert long <= short + 1024
+    assert len(forks) == 3
     _no_child_left()
 
 
