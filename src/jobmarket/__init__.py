@@ -41,7 +41,6 @@ _LAZY = {
     "BatchResult": "integrators", "Trajectory": "integrators",
     "run_batch": "integrators", "simulate": "integrators",
     "step_em": "integrators", "step_milstein": "integrators",
-    "step_rk4": "integrators",
 }
 
 
@@ -67,5 +66,5 @@ __all__ = [
     "ultimate_bound", "classify_regime",
     "BrownianPath", "generate",
     "Scheme", "Trajectory", "BatchResult",
-    "step_rk4", "step_em", "step_milstein", "simulate", "run_batch",
+    "step_em", "step_milstein", "simulate", "run_batch",
 ]

@@ -44,10 +44,10 @@ class ScenarioConfig:
     horizon: float
     dt: float
     scheme: Scheme
-    n_paths: int = DEFAULT_N_PATHS
-    seed: int = DEFAULT_SEED
-    record_stride: int = 1
-    outputs: str | None = None
+    n_paths: int
+    seed: int
+    record_stride: int
+    outputs: str | None
 
 
 def parse_config(data: dict) -> ScenarioConfig:

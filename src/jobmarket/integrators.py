@@ -65,7 +65,6 @@ __all__ = [
     "Scheme",
     "Trajectory",
     "BatchResult",
-    "step_rk4",
     "step_em",
     "step_milstein",
     "simulate",
@@ -180,16 +179,6 @@ def _step(update, s: State, dt: float, dB, p: ModelParams) -> tuple[State, bool]
     return State(un, vn), clamped
 
 
-def step_rk4(s: State, dt: float, p: ModelParams) -> State:
-    """One classical fourth-order Runge-Kutta step of the noise-free system.
-
-    Raises IntegrationError when a component goes negative beyond rounding
-    scale (1e-12 of the state magnitude), or NaN: that is a step-size
-    problem, not something to silently repair.
-    """
-    return _step(None, s, dt, None, p)[0]
-
-
 def step_em(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State, bool]:
     """One Euler-Maruyama step; returns (new state, clamped flag), or
     raises IntegrationError when a component goes NaN or -inf."""
@@ -217,21 +206,21 @@ class Trajectory:
     positivity clamp happened in the steps since the previous recorded row.
     clamp_count counts every clamp at full step resolution, independent of
     the recording stride, as the trapezoidal integrals integral_u/integral_v
-    are taken (populated by simulate, None on hand-built trajectories).
+    are taken.
     """
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     clamped: np.ndarray
-    scheme: Scheme | None = None
-    params: ModelParams | None = None
-    clamp_count: int = 0
-    seed: int | None = None
-    path_index: int | None = None
-    integral_u: float | None = None
-    integral_v: float | None = None
-    max_total: float | None = None
+    scheme: Scheme
+    params: ModelParams
+    clamp_count: int
+    seed: int | None  # the driving path's; None under RK4
+    path_index: int | None
+    integral_u: float
+    integral_v: float
+    max_total: float
 
     @property
     def horizon(self) -> float:
@@ -345,7 +334,8 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
         if path is None:
             raise ParameterError(f"scheme {scheme.value} requires a Brownian path")
         _check_noise_fit(1, path.n_steps, path.dt, 1, n_steps, dt)
-        noise = path.increments[:n_steps].tolist()
+        # a float per step as it is read, not a list of them all
+        noise = memoryview(np.ascontiguousarray(path.increments[:n_steps], dtype=float))
     else:
         if path is not None:
             raise ParameterError("deterministic RK4 takes no driving path")
@@ -400,8 +390,8 @@ class BatchResult:
     integral_v: np.ndarray | None
     max_total: np.ndarray | None   # running max of u + v
     errors: tuple[str | None, ...]  # per row: None, or its first failure
-    scheme: Scheme | None = None
-    params: ModelParams | tuple[ModelParams, ...] | None = None
+    scheme: Scheme
+    params: ModelParams | tuple[ModelParams, ...]
 
     @property
     def n_paths(self) -> int:

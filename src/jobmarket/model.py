@@ -94,10 +94,6 @@ class ModelParams:
         """min(r, d), the decay rate in the ultimate bound."""
         return min(self.r, self.d)
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "K": self.K, "m": self.m, "d": self.d,
-                "sigma": self.sigma}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
         if not isinstance(data, dict):

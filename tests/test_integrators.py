@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -24,7 +25,6 @@ from jobmarket import (
     simulate,
     step_em,
     step_milstein,
-    step_rk4,
 )
 from jobmarket import brownian, integrators
 from jobmarket.brownian import NoiseStream
@@ -51,10 +51,14 @@ def test_scheme_parse():
 # ---------------------------------------------------------------------------
 # RK4
 
+def _rk4_step(s, dt, p):
+    return simulate(Scheme.RK4, p, s, dt, dt).terminal
+
+
 def test_rk4_fixed_points():
-    assert step_rk4(State(100.0, 0.0), 0.1, P_FIG2) == (100.0, 0.0)
-    assert step_rk4(State(0.0, 0.0), 0.1, P_FIG2) == (0.0, 0.0)
-    s = step_rk4(State(2.0, 9.8), 0.01, P_FIG2)
+    assert _rk4_step(State(100.0, 0.0), 0.1, P_FIG2) == (100.0, 0.0)
+    assert _rk4_step(State(0.0, 0.0), 0.1, P_FIG2) == (0.0, 0.0)
+    s = _rk4_step(State(2.0, 9.8), 0.01, P_FIG2)
     assert s.u == pytest.approx(2.0, abs=1e-12)
     assert s.v == pytest.approx(9.8, abs=1e-12)
 
@@ -81,7 +85,7 @@ def test_rk4_matches_exponential_decay():
 def test_rk4_material_overshoot_raises():
     p = ModelParams(r=2.0, K=10.0, m=0.1, d=0.2, sigma=0.0)
     with pytest.raises(IntegrationError):
-        step_rk4(State(30.0, 0.0), 1.0, p)
+        _rk4_step(State(30.0, 0.0), 1.0, p)
 
 
 def test_simulate_rk4_failure_names_its_time():
@@ -91,10 +95,9 @@ def test_simulate_rk4_failure_names_its_time():
     assert str(exc.value).startswith("at t=0.0: RK4 step from")
 
 
-@pytest.mark.parametrize("step", [lambda s, dt: step_rk4(s, dt, P_FIG2),
-                                  lambda s, dt: step_em(s, dt, 0.01, P_FIG2),
+@pytest.mark.parametrize("step", [lambda s, dt: step_em(s, dt, 0.01, P_FIG2),
                                   lambda s, dt: step_milstein(s, dt, 0.01, P_FIG2)],
-                         ids=["rk4", "em", "milstein"])
+                         ids=["em", "milstein"])
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, True, 10**400],
                          ids=["zero", "negative", "nan", "inf", "bool", "past_double"])
 def test_public_steps_reject_a_dt_that_is_not_positive_finite(step, dt):
@@ -298,6 +301,22 @@ def test_record_stride_thins_exactly():
     assert thin.integral_v == full.integral_v
     assert thin.max_total == full.max_total
     assert thin.clamp_count == full.clamp_count
+
+
+def test_simulate_reads_its_path_without_copying_it():
+    # fig2 over 2*10^5 steps, recording only the ends: a list of the path's
+    # floats would hold 2*10^5 Python objects, about 6.4 MB
+    n_steps = 2 * 10**5
+    path = generate(3, 0, 0.01, n_steps)
+    tracemalloc.start()
+    try:
+        traj = simulate(Scheme.MILSTEIN, P_FIG2, State(50.0, 10.0), n_steps * 0.01,
+                        0.01, path=path, record_stride=n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 2
+    assert peak < 1e6
 
 
 def test_clamp_events_are_logged():
@@ -644,7 +663,7 @@ def _reference_path(scheme, p, x0, dt, n_steps, stride, increments):
     flagged = False
     for k in range(1, n_steps + 1):
         if scheme is Scheme.RK4:
-            (un, vn), clamped = step_rk4(State(u, v), dt, p), False
+            un, vn, clamped = integrators._scalar_next(None, u, v, dt, None, p)
         else:
             stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
             (un, vn), clamped = stepper(State(u, v), dt, float(increments[k - 1]), p)

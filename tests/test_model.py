@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_mu_is_derived_min():
 
 
 def test_params_json_round_trip():
-    d = P_PERSIST.to_dict()
+    d = dataclasses.asdict(P_PERSIST)
     assert d == {"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.001}
     assert ModelParams.from_dict(d) == P_PERSIST
 

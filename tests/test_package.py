@@ -1,6 +1,8 @@
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,10 @@ def test_importing_the_package_loads_numpy_only_for_a_lazy_name():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False True False True\n"
+
+
+def test_the_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Regime.PERSISTENCE\n")
