@@ -102,12 +102,17 @@ def _check_noise_fit(noise_paths: int, noise_steps: int, noise_dt: float,
             f"does not fit {n_paths} path(s) x {n_steps} steps at dt {dt}")
 
 
+def _check_stochastic(scheme: Scheme) -> None:
+    """A scheme for a run that draws noise: every run but simulate's."""
+    if not scheme.is_stochastic:
+        raise ParameterError(f"scheme {scheme.value} draws no noise and runs only in "
+                             "simulate; runs of many paths take euler_maruyama or milstein")
+
+
 def _check_coupling(scheme: Scheme, levels, n_fine: int) -> None:
     """A strong-order run of scheme over n_fine fine steps, coarsened
     levels times by halving the step count."""
-    if scheme is Scheme.RK4:
-        raise ParameterError("strong_order measures stochastic schemes; "
-                             "RK4 has no driving path to couple")
+    _check_stochastic(scheme)
     if not _is_int(levels) or levels < 3:
         raise ParameterError(f"levels must be an integer >= 3, got {levels!r}")
     if n_fine % (2 ** levels) != 0:

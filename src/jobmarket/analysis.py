@@ -15,8 +15,8 @@ from typing import Collection, Sequence, TextIO
 import numpy as np
 
 from . import brownian
-from ._rules import (_check_coupling, _check_initial, _check_paths, _positive_int,
-                     _resolve_steps)
+from ._rules import (_check_coupling, _check_initial, _check_paths, _check_stochastic,
+                     _positive_int, _resolve_steps)
 from .errors import IntegrationError, JobMarketError, ParameterError
 from .integrators import _OUTPUTS, BatchResult, Scheme, _coupled_terminals, run_batch
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
@@ -57,7 +57,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
     lanes = (n_paths,) if isinstance(p, ModelParams) else (len(p), n_paths)
     u0 = np.full(lanes, float(x0[0]))
     v0 = np.full(lanes, float(x0[1]))
-    dW = brownian.NoiseStream(seed, n_paths, dt, n_steps) if scheme.is_stochastic else None
+    dW = brownian.NoiseStream(seed, n_paths, dt, n_steps)
     return run_batch(scheme, p, u0, v0, horizon, dt, dW,
                      record_stride=record_stride, outputs=outputs, recorder=recorder)
 
@@ -114,12 +114,17 @@ class _RowStats:
     so identical paths give an exact 0; the quantiles are nearest ranks of
     the sorted row. So the columns have the bits of the same reductions
     over the whole records matrix.
+
+    A row whose largest value passes room is reduced scaled below 1 by a
+    power of two, exact short of subnormals, so that no square overflows.
     """
 
     def open(self, lanes: tuple[int, ...], n_rows: int) -> None:
         (self.n,) = lanes
         self.ranks = np.array([max(1, math.ceil(q * self.n)) - 1
                                for q in (0.05, 0.50, 0.95)])
+        # |centred| <= 2 max of a nonnegative row: n squares of 2 room sum to DBL_MAX/2
+        self.room = math.sqrt(np.finfo(float).max / (8 * self.n))
         # (u, v) x (mean, std, q05, q50, q95), EnsembleStats' field order, x
         # rows; allocated before the first step, so rows that cannot fit
         # fail at once, as records do
@@ -129,12 +134,18 @@ class _RowStats:
     def put(self, u: np.ndarray, v: np.ndarray, clamped) -> None:
         n, i = self.n, self.row
         for x, out in zip((u, v), self.columns):
+            ranked = np.sort(x)
+            out[2:, i] = ranked[self.ranks]
+            scale = 1.0
+            # a +inf row is left as is: the run fails at the row's next step
+            if self.room < ranked[-1] < math.inf:
+                scale = math.ldexp(1.0, -math.frexp(ranked[-1])[1])
+                x = x * scale
             centred = x - x[0]
             centred -= _path_sum(centred) / n
             centred *= centred  # centred ** 2, bit for bit
-            out[0, i] = _path_sum(x) / n
-            out[1, i] = np.sqrt(_path_sum(centred) / n)
-            out[2:, i] = np.sort(x)[self.ranks]
+            out[0, i] = _path_sum(x) / n / scale
+            out[1, i] = np.sqrt(_path_sum(centred) / n) / scale
         self.row = i + 1
 
 
@@ -275,6 +286,7 @@ def regime_map(base: ModelParams, m_grid: Sequence[float],
     """
     if len(m_grid) == 0 or len(sigma_grid) == 0:
         raise ParameterError("m_grid and sigma_grid must be nonempty")
+    _check_stochastic(scheme)
     record_stride = _resolve_steps(horizon, dt)  # the terminal state only
     _check_initial(*x0)
     _check_paths(seed, n_paths)  # which no cell may fail on its own

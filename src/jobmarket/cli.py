@@ -13,19 +13,20 @@ undefined at sigma = 0), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 # no numpy at import: analysis, brownian and integrators load it, so only
 # the handlers that step import them, and --help, thresholds and a config
 # error run without numpy
 from . import __version__, scenarios
 from ._rules import (Scheme, _as_finite_float, _check_coupling, _check_initial,
-                     _check_paths, _check_stride, _resolve_steps)
+                     _check_paths, _check_stochastic, _check_stride, _resolve_steps)
 from .errors import IntegrationError, ParameterError, ZeroNoiseError
 from .model import ModelParams, State, classify_regime
 
@@ -115,17 +116,27 @@ def load_config(source: str, overrides: dict | None = None) -> ScenarioConfig:
     return parse_config(data)
 
 
-def _out_dir(cfg: ScenarioConfig, args) -> Path:
+@contextlib.contextmanager
+def _out_dir(cfg: ScenarioConfig, args) -> Iterator[Path]:
+    """The output directory, made with any missing parents; when the run in
+    the with block fails, the directories made here go again while empty."""
     target = args.out if args.out is not None else cfg.outputs
     if target is None:
         raise ParameterError("no output directory: set 'outputs' in the config "
                              "or pass --out")
     out = Path(target)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission, ...
         raise ParameterError(f"cannot create output directory {out}: {exc}") from None
-    return out
+    try:
+        yield out
+    except BaseException:
+        for d in made:  # innermost first; rmdir fails on one that is not empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _write(path: Path, write: Callable[[TextIO], object]) -> None:
@@ -144,11 +155,12 @@ def _say(args, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each rejects bad input before numpy and --out are made
 
 def _cmd_thresholds(cfg: ScenarioConfig, args) -> int:
     text = json.dumps(classify_regime(cfg.params).to_dict(), indent=2)
-    _write(_out_dir(cfg, args) / "thresholds.json", lambda fp: fp.write(text + "\n"))
+    with _out_dir(cfg, args) as out:
+        _write(out / "thresholds.json", lambda fp: fp.write(text + "\n"))
     _say(args, text)
     return 0
 
@@ -157,47 +169,47 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     from . import brownian
     from .integrators import simulate
 
-    out = _out_dir(cfg, args)
-    deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
-                             cfg.dt, record_stride=cfg.record_stride)
-    stochastic = deterministic  # an rk4 config has no noisy path of its own
-    if cfg.scheme.is_stochastic:
-        n_steps = _resolve_steps(cfg.horizon, cfg.dt)
-        path = brownian.generate(cfg.seed, 0, cfg.dt, n_steps)
-        stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon,
-                              cfg.dt, path=path, record_stride=cfg.record_stride)
-    _write(out / "stochastic.csv", stochastic.to_csv)
-    _write(out / "deterministic.csv", deterministic.to_csv)
+    with _out_dir(cfg, args) as out:
+        deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
+                                 cfg.dt, record_stride=cfg.record_stride)
+        stochastic = deterministic  # an rk4 config has no noisy path of its own
+        if cfg.scheme.is_stochastic:
+            n_steps = _resolve_steps(cfg.horizon, cfg.dt)
+            path = brownian.generate(cfg.seed, 0, cfg.dt, n_steps)
+            stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon,
+                                  cfg.dt, path=path, record_stride=cfg.record_stride)
+        _write(out / "stochastic.csv", stochastic.to_csv)
+        _write(out / "deterministic.csv", deterministic.to_csv)
     _say(args, f"wrote {out / 'stochastic.csv'} and {out / 'deterministic.csv'} "
                f"({stochastic.clamp_count} clamps)")
     return 0
 
 
 def _cmd_ensemble(cfg: ScenarioConfig, args) -> int:
+    _check_stochastic(cfg.scheme)
     from . import analysis
 
-    out = _out_dir(cfg, args)
-    stats = analysis.ensemble(cfg.params, cfg.scheme, cfg.x0, cfg.horizon,
-                              cfg.dt, cfg.n_paths, cfg.seed,
-                              record_stride=cfg.record_stride)
-    _write(out / "ensemble.csv", stats.to_csv)
+    with _out_dir(cfg, args) as out:
+        stats = analysis.ensemble(cfg.params, cfg.scheme, cfg.x0, cfg.horizon,
+                                  cfg.dt, cfg.n_paths, cfg.seed,
+                                  record_stride=cfg.record_stride)
+        _write(out / "ensemble.csv", stats.to_csv)
     _say(args, f"wrote {out / 'ensemble.csv'} ({stats.n_paths} paths, "
                f"clamp rate {stats.clamp_rate!r})")
     return 0
 
 
 def _cmd_convergence(cfg: ScenarioConfig, args) -> int:
+    _check_coupling(cfg.scheme, args.levels, _resolve_steps(cfg.horizon, cfg.dt))
     from . import analysis
 
-    # before _out_dir: input strong_order rejects creates no directory
-    _check_coupling(cfg.scheme, args.levels, _resolve_steps(cfg.horizon, cfg.dt))
-    out = _out_dir(cfg, args)
-    report = analysis.strong_order(cfg.params, cfg.scheme, cfg.x0,
-                                   cfg.horizon, dt_fine=cfg.dt,
-                                   levels=args.levels, n_paths=cfg.n_paths,
-                                   seed=cfg.seed)
-    text = json.dumps(report.to_dict(), indent=2)
-    _write(out / "convergence.json", lambda fp: fp.write(text + "\n"))
+    with _out_dir(cfg, args) as out:
+        report = analysis.strong_order(cfg.params, cfg.scheme, cfg.x0,
+                                       cfg.horizon, dt_fine=cfg.dt,
+                                       levels=args.levels, n_paths=cfg.n_paths,
+                                       seed=cfg.seed)
+        text = json.dumps(report.to_dict(), indent=2)
+        _write(out / "convergence.json", lambda fp: fp.write(text + "\n"))
     _say(args, f"wrote {out / 'convergence.json'} (slope {report.slope!r}, "
                f"residual {report.residual!r})")
     return 0
@@ -214,16 +226,17 @@ def _parse_grid(text: str, name: str) -> list[float]:
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
-    from . import analysis
-
+    _check_stochastic(cfg.scheme)
     m_grid = _parse_grid(args.m_grid, "--m-grid")
     sigma_grid = _parse_grid(args.sigma_grid, "--sigma-grid")
-    out = _out_dir(cfg, args)
-    cells = analysis.regime_map(cfg.params, m_grid, sigma_grid,
-                                scheme=cfg.scheme, x0=cfg.x0,
-                                horizon=cfg.horizon, dt=cfg.dt,
-                                n_paths=cfg.n_paths, seed=cfg.seed)
-    _write(out / "sweep.csv", lambda fp: analysis.regime_cells_to_csv(cells, fp))
+    from . import analysis
+
+    with _out_dir(cfg, args) as out:
+        cells = analysis.regime_map(cfg.params, m_grid, sigma_grid,
+                                    scheme=cfg.scheme, x0=cfg.x0,
+                                    horizon=cfg.horizon, dt=cfg.dt,
+                                    n_paths=cfg.n_paths, seed=cfg.seed)
+        _write(out / "sweep.csv", lambda fp: analysis.regime_cells_to_csv(cells, fp))
     failed = sum(1 for c in cells if c.error is not None)
     _say(args, f"wrote {out / 'sweep.csv'} ({len(cells)} cells, {failed} failed)")
     return 0

@@ -55,8 +55,8 @@ from typing import Collection, Sequence, TextIO
 import numpy as np
 
 from . import brownian
-from ._rules import (Scheme, _check_initial, _check_noise_fit, _check_stride,
-                     _positive_finite, _resolve_steps)
+from ._rules import (Scheme, _check_initial, _check_noise_fit, _check_stochastic,
+                     _check_stride, _positive_finite, _resolve_steps)
 from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
@@ -77,14 +77,12 @@ _TINY = sys.float_info.min
 
 _RK4_CLAMP_REL = 1e-12
 
-_NON_FINITE = "state went non-finite at t={t}"
-
 # frozen lanes from which _Lanes splits its step: below about a thousand,
 # its gathers, scatters and copies cost more than the steps it saves
 _SPLIT_MIN = 1000
 
 # the per-path accumulators a run_batch caller may ask for
-_OUTPUTS = frozenset({"integral_u", "integral_v", "max_total"})
+_OUTPUTS = frozenset({"integral_v", "max_total"})
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +203,7 @@ class Trajectory:
     times/u/v/clamped are aligned arrays; ``clamped[i]`` means at least one
     positivity clamp happened in the steps since the previous recorded row.
     clamp_count counts every clamp at full step resolution, independent of
-    the recording stride, as the trapezoidal integrals integral_u/integral_v
-    are taken.
+    the recording stride, as the trapezoidal integral integral_v is taken.
     """
 
     times: np.ndarray
@@ -218,7 +215,6 @@ class Trajectory:
     clamp_count: int
     seed: int | None  # the driving path's; None under RK4
     path_index: int | None
-    integral_u: float
     integral_v: float
     max_total: float
 
@@ -267,7 +263,7 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
     u and v are Python floats (one path) or lane arrays. Each step calls
     step(k, u, v, dB) -> (u, v, clamp events), with dB taken from noise;
     events of None mean that no lane clamped. Clamp counts, and those of
-    the trapezoid integrals and the running max of u + v named in
+    the trapezoid integral of v and the running max of u + v named in
     outputs, are kept at full step resolution; an accumulator not named
     costs nothing per step and is returned as None.
 
@@ -279,7 +275,7 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
     the lanes (a bool on floats) that clamped since the previous row. The
     arrays are the loop's own, and a recorder must not write to them.
     Returns the recorded times, the final u and v, the clamp counts and
-    the three accumulators.
+    the two accumulators.
     """
     lanes = np.shape(u)  # () for one scalar path
     # on floats, builtin max() costs about 0.25 us a step more than this
@@ -288,18 +284,12 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
     put = recorder.put
     counts = last = np.zeros(lanes, dtype=np.int64) if lanes else 0
     put(u, v, counts != last)  # row 0: no lane has clamped
-    integral_u = (np.zeros(lanes) if lanes else 0.0) if "integral_u" in outputs else None
     integral_v = (np.zeros(lanes) if lanes else 0.0) if "integral_v" in outputs else None
     max_total = u + v if "max_total" in outputs else None
     for k, dB in zip(range(1, n_steps + 1), noise):
         un, vn, events = step(k, u, v, dB)
         if events is not None:
             counts = counts + events
-        if integral_u is not None:
-            trapezoid = u + un
-            trapezoid *= 0.5
-            trapezoid *= dt
-            integral_u += trapezoid
         if integral_v is not None:
             trapezoid = v + vn
             trapezoid *= 0.5
@@ -312,7 +302,7 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
             put(u, v, counts != last)
             last = counts
     times = np.arange(0, n_steps + 1, record_stride) * float(dt)
-    return times, u, v, counts, integral_u, integral_v, max_total
+    return times, u, v, counts, integral_v, max_total
 
 
 def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
@@ -349,7 +339,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
             raise IntegrationError(f"at t={(k - 1) * dt}: {exc}") from None
 
     records = _Records()
-    times, u, v, count, integral_u, integral_v, max_total = _advance(
+    times, u, v, count, integral_v, max_total = _advance(
         step, u, v, dt, n_steps, record_stride, noise, records)
     for x in (u, v):
         if not math.isfinite(x):  # a +inf from the last step; earlier ones fail the next
@@ -361,7 +351,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
         clamp_count=count,
         seed=path.seed if path is not None else None,
         path_index=path.path_index if path is not None else None,
-        integral_u=integral_u, integral_v=integral_v, max_total=max_total,
+        integral_v=integral_v, max_total=max_total,
     )
 
 
@@ -386,8 +376,7 @@ class BatchResult:
     clamped: np.ndarray | None   # lane shape + (n_recorded,) bool
     clamp_counts: np.ndarray     # lane shape, int
     # lane shape; None when the run's outputs left them out
-    integral_u: np.ndarray | None  # full-resolution trapezoids
-    integral_v: np.ndarray | None
+    integral_v: np.ndarray | None  # full-resolution trapezoids
     max_total: np.ndarray | None   # running max of u + v
     errors: tuple[str | None, ...]  # per row: None, or its first failure
     scheme: Scheme
@@ -552,12 +541,13 @@ def _noise_rows(dW, n_paths: int, n_steps: int, dt: float,
 
 def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
               u0: np.ndarray, v0: np.ndarray, horizon: float, dt: float,
-              dW: np.ndarray | NoiseStream | None, record_stride: int = 1, *,
+              dW: np.ndarray | NoiseStream, record_stride: int = 1, *,
               outputs: Collection[str] = _OUTPUTS, recorder=None) -> BatchResult:
     """Advance many paths at once; path i uses dW[i], or column i of a stream.
 
-    dW is a NoiseStream of n_paths paths at this dt and at least
-    horizon/dt steps, or a row-major (n_paths, >= horizon/dt) array;
+    scheme is Euler-Maruyama or Milstein; RK4, which draws no noise, raises
+    ParameterError. dW is a NoiseStream of n_paths paths at this dt and at
+    least horizon/dt steps, or a row-major (n_paths, >= horizon/dt) array;
     other noise raises ParameterError before any draw.
 
     With one ModelParams, u0 and v0 are 1-D arrays of n_paths lanes. With
@@ -565,10 +555,10 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     row c runs under p[c], and path i of every row is driven by the same
     increment row dW[i], so a whole parameter grid shares one time loop.
 
-    outputs names the accumulators to keep, a subset of integral_u,
-    integral_v and max_total (all three by default); the others are
-    skipped at every step and come back as None. The records, the clamp
-    counts and every kept field have the same bits whatever is left out.
+    outputs names the accumulators to keep, a subset of integral_v and
+    max_total (both by default); one left out is skipped at every step and
+    comes back as None. The records, the clamp counts and every kept field
+    have the same bits whatever is left out.
 
     recorder, when given, takes each recorded row as the time loop reaches
     it (see _advance for its open and put), and U, V and clamped come
@@ -583,6 +573,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     run of the failed row alone would raise, parks the row at (0, 0) and
     runs the other rows on.
     """
+    _check_stochastic(scheme)
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
     unknown = set(outputs) - _OUTPUTS
@@ -605,70 +596,48 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     coeffs = _stack_params(p, n_paths) if cells else p
     errors: list[str | None] = [None] * (cells[0] if cells else 1)
 
-    def fail(k, bad_u, bad_v, un, vn, what):
-        """Record each newly failed row's error (its first bad path in u, else
-        in v) and park the row at (0, 0), a fixed point of every scheme."""
-        for c, (bu, bv, xu, xv) in enumerate(zip(*map(np.atleast_2d, (bad_u, bad_v, un, vn)))):
-            if errors[c] is None and (bu.any() or bv.any()):
-                x, bad = (xu, bu) if bu.any() else (xv, bv)
-                i = int(np.argmax(bad))
-                errors[c] = f"path {i}: {what.format(t=(k - 1) * dt, x=x[i])}; reduce the step size"
+    def fail(k, bad, un, vn):
+        """Record each newly failed row's error (its first bad path) and park
+        the row at (0, 0), a fixed point of every scheme."""
+        for c, (b, xu, xv) in enumerate(zip(*map(np.atleast_2d, (bad, un, vn)))):
+            if errors[c] is None and b.any():
+                errors[c] = (f"path {int(np.argmax(b))}: state went non-finite at "
+                             f"t={(k - 1) * dt}; reduce the step size")
                 if not cells:
                     raise IntegrationError(errors[c])
                 xu[:] = xv[:] = 0.0
 
-    def fail_infinite(un, vn):
-        # at the last step, before its row is recorded; a +inf from an
-        # earlier step fails the next as NaN or -inf
-        fail(n_steps, ~np.isfinite(un), ~np.isfinite(vn), un, vn, _NON_FINITE)
+    # multi-cell runs keep the plain step, and so do runs on user matrices
+    # (an inf or NaN increment on a settled lane must still fail the run)
+    # and at a dt where dB*dB, |dB| < 14*sqrt(dt), may overflow
+    update = _STOCHASTIC_NEXT[scheme]
+    lanes = (_Lanes(update, coeffs, dt, dW.block, u, v)
+             if not cells and isinstance(dW, NoiseStream)
+             and math.isfinite(200.0 * dt) else None)
+    noise = _noise_rows(dW, n_paths, n_steps, dt,
+                        None if lanes is None else lanes.settled)
 
-    if scheme.is_stochastic:
-        # multi-cell runs keep the plain step, and so do runs on user
-        # matrices (an inf or NaN increment on a settled lane must still
-        # fail the run) and at a dt where dB*dB, |dB| < 14*sqrt(dt), may overflow
-        update = _STOCHASTIC_NEXT[scheme]
-        lanes = (_Lanes(update, coeffs, dt, dW.block, u, v)
-                 if not cells and isinstance(dW, NoiseStream)
-                 and math.isfinite(200.0 * dt) else None)
-        noise = _noise_rows(dW, n_paths, n_steps, dt,
-                            None if lanes is None else lanes.settled)
-
-        def step(k, u, v, dB):
-            if lanes is None:
-                un, vn, events, failed = _stochastic_next(update, u, v, dt, dB, coeffs)
-            else:
-                un, vn, events, failed = lanes.step(k, u, v, dB)
-            if failed is not None:
-                fail(k, failed, failed, un, vn, _NON_FINITE)
-            if k == n_steps:
-                fail_infinite(un, vn)
-            return un, vn, events
-    else:
-        if dW is not None:
-            raise ParameterError("deterministic RK4 takes no increments")
-        noise = itertools.repeat(None)
-
-        def step(k, u, v, _):
-            un, vn = _rk4_next(u, v, dt, coeffs)
-            floor = -_RK4_CLAMP_REL * np.maximum(1.0, np.abs(u) + np.abs(v))
-            ok_u = un >= floor  # False on NaN too
-            ok_v = vn >= floor
-            if not (ok_u.all() and ok_v.all()):
-                fail(k, ~ok_u, ~ok_v, un, vn, "RK4 went negative at t={t} (value {x})")
-            un, vn = np.where(un < 0.0, 0.0, un), np.where(vn < 0.0, 0.0, vn)
-            if k == n_steps:
-                fail_infinite(un, vn)
-            return un, vn, None
+    def step(k, u, v, dB):
+        if lanes is None:
+            un, vn, events, failed = _stochastic_next(update, u, v, dt, dB, coeffs)
+        else:
+            un, vn, events, failed = lanes.step(k, u, v, dB)
+        if failed is not None:
+            fail(k, failed, un, vn)
+        if k == n_steps:
+            # at the last step, before its row is recorded; a +inf from an
+            # earlier step fails the next as NaN or -inf
+            fail(k, ~(np.isfinite(un) & np.isfinite(vn)), un, vn)
+        return un, vn, events
 
     records = _Records() if recorder is None else recorder
     try:
         times, _, _, *rest = _advance(step, u, v, dt, n_steps, record_stride,
                                       noise, records, outputs)
     finally:
-        if scheme.is_stochastic:
-            # a forked noise producer ends here, not when a traceback that
-            # holds this frame is dropped
-            noise.close()
+        # a forked noise producer ends here, not when a traceback that
+        # holds this frame is dropped
+        noise.close()
     U, V, clamped = ((records.U, records.V, records.clamped) if recorder is None
                      else (None, None, None))
     return BatchResult(times, U, V, clamped, *rest, errors=tuple(errors),

@@ -168,6 +168,18 @@ def test_ensemble_equals_the_bulk_reduction_of_the_records(
     assert stats.clamp_rate == np.count_nonzero(batch.clamp_counts > 0) / n_paths
 
 
+def test_ensemble_statistics_of_a_huge_row_scale_exactly():
+    # 2^1000 times a row: the n squares of its spread would overflow, so it
+    # is reduced scaled, and its columns are 2^1000 times the row's, bit for
+    # bit, where the std was inf
+    row = np.array([1.0, 2.0, 3.0, 7.5])
+    small, huge = analysis._RowStats(), analysis._RowStats()
+    for stats, x in ((small, row), (huge, np.ldexp(row, 1000))):
+        stats.open(row.shape, 1)
+        stats.put(x, x, None)
+    assert huge.columns.tobytes() == np.ldexp(small.columns, 1000).tobytes()
+
+
 def test_ensemble_memory_grows_with_paths_plus_rows():
     # fig1, 1000 paths x 10^4 steps, every step recorded: U and V alone would
     # hold 2 x 1000 x 10001 doubles, 160 MB; the noise blocks are mapped
@@ -189,7 +201,7 @@ def test_an_integer_dt_records_float_times():
     x0 = State(100.0, 0.0)
     u0, v0 = np.full(2, x0.u), np.full(2, x0.v)
     runs = [(simulate(Scheme.RK4, P_FIG2, x0, 4, dt),
-             run_batch(Scheme.RK4, P_FIG2, u0, v0, 4, dt, None),
+             run_batch(Scheme.MILSTEIN, P_FIG2, u0, v0, 4, dt, np.zeros((2, 4))),
              simulate_paths(P_FIG2, Scheme.MILSTEIN, x0, 4, dt, 2, 1))
             for dt in (1, 1.0)]
     for as_int, as_float in zip(*runs):
@@ -208,7 +220,7 @@ def test_simulate_paths_passes_outputs_to_run_batch():
     some = simulate_paths(*args, outputs={"integral_v"})
     assert some.U.tobytes() == full.U.tobytes()
     assert some.integral_v.tobytes() == full.integral_v.tobytes()
-    assert some.integral_u is None and some.max_total is None
+    assert some.max_total is None
     with pytest.raises(ParameterError):
         simulate_paths(*args, outputs={"integral_w"})
 
@@ -364,6 +376,22 @@ def test_noise_buffers_stay_under_the_byte_cap(monkeypatch, forks, run):
     assert sum(requested) <= brownian._BLOCK_BYTES
 
 
+def test_runs_that_draw_noise_reject_rk4_before_any_draw(forks, monkeypatch):
+    # 512 paths x 4096 steps would fork a noise producer
+    drawn = []
+    monkeypatch.setattr(brownian, "_blocks", lambda *args: drawn.append(args))
+    x0, n_paths, seed = State(50.0, 10.0), 512, 1
+    runs = [lambda: run_batch(Scheme.RK4, P_FIG2, np.full(n_paths, 50.0),
+                              np.full(n_paths, 10.0), 40.96, 0.01,
+                              brownian.NoiseStream(seed, n_paths, 0.01, 4096)),
+            lambda: simulate_paths(P_FIG2, Scheme.RK4, x0, 40.96, 0.01, n_paths, seed),
+            lambda: ensemble(P_FIG2, Scheme.RK4, x0, 40.96, 0.01, n_paths, seed)]
+    for run in runs:
+        with pytest.raises(ParameterError, match="rk4 draws no noise"):
+            run()
+    assert forks == [] and drawn == []
+
+
 def test_strong_order_validates():
     with pytest.raises(ParameterError):
         strong_order(P_FIG2, Scheme.RK4, State(1, 1), 1.0, 2.0**-8, 4, 2, 1)
@@ -453,7 +481,9 @@ def test_regime_map_rejects_empty_grids():
                                  dict(sigma_grid=[0.0], x0=State(-1.0, 1.0)),
                                  dict(sigma_grid=[0.0], x0=State(math.nan, 1.0)),
                                  dict(sigma_grid=[0.0], n_paths=-3),
-                                 dict(sigma_grid=[0.0], seed=-1)])
+                                 dict(sigma_grid=[0.0], seed=-1),
+                                 dict(scheme=Scheme.RK4),
+                                 dict(sigma_grid=[0.0], scheme=Scheme.RK4)])
 def test_regime_map_raises_on_a_bad_input_every_cell_shares(bad):
     kwargs = dict(sigma_grid=[0.09], scheme=Scheme.MILSTEIN, x0=State(50.0, 10.0),
                   horizon=1.0, dt=0.01, n_paths=2, seed=1)
@@ -515,9 +545,6 @@ def _per_cell_reference(base, m_grid, sigma_grid, scheme, x0, horizon, dt,
     (P_FIG1, [0.001, 0.3], [0.09, 0.0, 0.5], Scheme.EULER_MARUYAMA,
      5.0, 0.01, 9),
     (P_FIG1, [0.001, 0.1, 0.3], [0.09], Scheme.EULER_MARUYAMA, 5.0, 0.01, 1),
-    # cells 5.0 and 3.0 fail mid-run under RK4 at this step size
-    (P_FIG1, [5.0, 0.01, 3.0, 0.2], [0.09, 0.0, 0.3], Scheme.RK4,
-     10.0, 0.5, 3),
 ])
 def test_regime_map_matches_per_cell_runs(base, m_grid, sigma_grid, scheme,
                                           horizon, dt, n_paths):
@@ -548,22 +575,41 @@ def test_regime_map_matches_per_cell_runs_on_random_grids(
         P_FIG2, m_grid, sigma_grid, scheme, x0, 1.0, 0.01, n_paths, seed)
 
 
-def test_regime_map_isolates_a_failing_rk4_cell():
-    cells = regime_map(P_FIG1, m_grid=[0.01, 5.0], sigma_grid=[0.09],
-                       scheme=Scheme.RK4, x0=State(50.0, 10.0), horizon=10.0,
-                       dt=0.5, n_paths=2, seed=20240101)
+# from here the flux m*u*v overflows on the first step at m >= 3
+X0_OVERFLOWING = State(1e154, 1e154)
+
+
+def test_regime_map_isolates_a_failing_cell():
+    with pytest.warns(RuntimeWarning):
+        cells = regime_map(P_FIG1, m_grid=[0.01, 5.0], sigma_grid=[0.09],
+                           scheme=Scheme.MILSTEIN, x0=X0_OVERFLOWING, horizon=10.0,
+                           dt=0.5, n_paths=2, seed=20240101)
     good, failed = cells
     assert good.error is None and good.observed is Observation.V_PERSISTS
-    with pytest.raises(IntegrationError) as alone:
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as alone:
         simulate_paths(ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09),
-                       Scheme.RK4, State(50.0, 10.0), 10.0, 0.5, 2, 20240101)
+                       Scheme.MILSTEIN, X0_OVERFLOWING, 10.0, 0.5, 2, 20240101)
     assert failed.error == str(alone.value)
     assert failed.predicted is None and failed.observed is None
 
 
+# 8 valid cells (the sigma = 0 column fails classification), 4 of which
+# (m = 5.0 and 3.0) fail from X0_OVERFLOWING
+FAILING_M_GRID, FAILING_SIGMA_GRID = [5.0, 0.01, 3.0, 0.2], [0.09, 0.0, 0.3]
+
+
+def test_regime_map_matches_per_cell_runs_where_cells_fail():
+    kwargs = dict(scheme=Scheme.MILSTEIN, x0=X0_OVERFLOWING, horizon=10.0,
+                  dt=0.5, n_paths=3, seed=20240101)
+    with pytest.warns(RuntimeWarning):
+        cells = regime_map(P_FIG1, FAILING_M_GRID, FAILING_SIGMA_GRID, **kwargs)
+    with pytest.warns(RuntimeWarning):
+        reference = _per_cell_reference(P_FIG1, FAILING_M_GRID,
+                                        FAILING_SIGMA_GRID, *kwargs.values())
+    assert _outcomes(cells) == reference
+
+
 def test_regime_map_runs_every_valid_cell_in_one_launch(monkeypatch):
-    # 8 valid cells (the sigma = 0 column fails classification), 6 of which
-    # fail mid-run under RK4 at this step size
     launches = []
 
     def counting(*args, **kwargs):
@@ -571,12 +617,12 @@ def test_regime_map_runs_every_valid_cell_in_one_launch(monkeypatch):
         return run_batch(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "run_batch", counting)
-    cells = regime_map(P_FIG1, m_grid=[5.0, 0.01, 3.0, 0.2],
-                       sigma_grid=[0.09, 0.0, 0.3], scheme=Scheme.RK4,
-                       x0=State(50.0, 10.0), horizon=10.0, dt=0.5, n_paths=3,
-                       seed=20240101)
+    with pytest.warns(RuntimeWarning):
+        cells = regime_map(P_FIG1, FAILING_M_GRID, FAILING_SIGMA_GRID,
+                           scheme=Scheme.MILSTEIN, x0=X0_OVERFLOWING, horizon=10.0,
+                           dt=0.5, n_paths=3, seed=20240101)
     assert launches == [8]
-    assert sum(c.error is None for c in cells) == 2
+    assert sum(c.error is None for c in cells) == 4
 
 
 HUGE = State(1e200, 1e200)  # u * v overflows on the first step

@@ -2,12 +2,14 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from jobmarket import scenarios
 from jobmarket.cli import load_config, main, parse_config
 
 BASE = {
@@ -230,7 +232,7 @@ def test_records_that_cannot_be_allocated_exit_2(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # made for the run, and removed when it failed
 
 
 @pytest.mark.parametrize("command,artifact", [("thresholds", "thresholds.json"),
@@ -381,6 +383,21 @@ def test_ensemble_fig1_bytes_are_pinned(tmp_path):
         "96dd9311d0c2a4094ffc208fc173aa74171b2b0aa358f6e26eea4db47f39a136")
 
 
+def test_ensemble_of_a_huge_finite_state_has_finite_spread(tmp_path):
+    # v reaches about 1e300: the squares of its spread overflow a double
+    cfg = json.loads(scenarios.bundled_path("fig1").read_text())
+    cfg.update(x0={"u": 1e150, "v": 1e150}, n_paths=4, horizon=1.0)
+    cfg["params"]["sigma"] = 50.0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "ensemble.csv").read_text().strip().split("\n")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 3 and rows[-1][6] > 1e300  # v_mean
+    assert all(math.isfinite(x) and x >= 0.0 for row in rows for x in row)
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -453,19 +470,21 @@ def test_sweep_records_cells_and_errors(tmp_path):
     assert len(error_rows) == 2  # the sigma = 0 column fails per cell
 
 
-def test_sweep_isolates_a_failing_rk4_cell(tmp_path):
-    # m = 5.0 drives RK4 negative at dt 0.5; only that cell fails
-    cfg = write_config(tmp_path, scheme="rk4", dt=0.5, horizon=10.0,
-                       n_paths=2, record_stride=1,
+def test_sweep_isolates_a_failing_cell(tmp_path):
+    # from (1e154, 1e154) the flux m*u*v overflows at m = 5.0; only that
+    # cell fails
+    cfg = write_config(tmp_path, dt=0.5, horizon=10.0, n_paths=2, record_stride=1,
+                       x0={"u": 1e154, "v": 1e154},
                        params={"r": 1.0, "K": 100.0, "m": 0.001, "d": 0.2,
                                "sigma": 0.09})
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out),
-                 "--m-grid", "0.01,5.0", "--sigma-grid", "0.09",
-                 "--quiet"]) == 0
+    with pytest.warns(RuntimeWarning):
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--m-grid", "0.01,5.0", "--sigma-grid", "0.09",
+                     "--quiet"]) == 0
     assert (out / "sweep.csv").read_text() == (
         "m,sigma,predicted,observed,v_time_avg\n"
-        "0.01,0.09,extinction,v_persists,72.17673201394942\n"
+        "0.01,0.09,extinction,v_persists,7.0135048395258464e+305\n"
         "5.0,0.09,,,\n")
 
 
@@ -481,10 +500,16 @@ HUGE = dict(x0={"u": 1e200, "v": 1e200},  # u * v overflows on the first step
 def test_a_run_that_goes_non_finite_exits_4(tmp_path, capsys, command, error,
                                             numpy_warns):
     cfg = write_config(tmp_path, **HUGE)
-    out = tmp_path / "out"
+    out = tmp_path / "new" / "out"
+    argv = [command, "--config", cfg, "--out", str(out), "--quiet"]
     with pytest.warns(RuntimeWarning) if numpy_warns else contextlib.nullcontext():
-        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 4
+        assert main(argv) == 4
     assert capsys.readouterr().err.startswith(error)
+    # the directories the run made are gone; one that existed before stays
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+    out.mkdir(parents=True)
+    with pytest.warns(RuntimeWarning) if numpy_warns else contextlib.nullcontext():
+        assert main(argv) == 4
     assert list(out.iterdir()) == []
 
 
@@ -553,13 +578,13 @@ print(json.dumps(results))
 
 
 def test_thresholds_help_and_config_errors_run_without_numpy(tmp_path):
-    out = str(tmp_path / "out")
+    out, rk4_out = str(tmp_path / "out"), str(tmp_path / "rk4_out")
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
 
-    def bad(command, name, **overrides):
+    def bad(command, name, to=out, **overrides):
         return [command, "--config", write_config(tmp_path, name, **overrides),
-                "--out", out, "--quiet"]
+                "--out", to, "--quiet"]
 
     runs = [
         (["thresholds", "--config", "fig1", "--out", out, "--quiet"], 0),
@@ -572,12 +597,18 @@ def test_thresholds_help_and_config_errors_run_without_numpy(tmp_path):
         (bad("convergence", "seed.json", seed=2**64), 2),
         (bad("ensemble", "paths.json", n_paths=True), 2),
         (bad("thresholds", "sigma.json", params=dict(BASE["params"], sigma=0.0)), 3),
+        # every run that draws noise rejects rk4, before the directory is made
+        (bad("ensemble", "rk4.json", rk4_out, scheme="rk4"), 2),
+        (bad("sweep", "rk4.json", rk4_out, scheme="rk4")
+         + ["--m-grid", "0.1", "--sigma-grid", "0.1"], 2),
+        (bad("convergence", "rk4.json", rk4_out, scheme="rk4"), 2),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_RUNS, json.dumps([argv for argv, _ in runs])],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[code, False] for _, code in runs]
+    assert not (tmp_path / "rk4_out").exists()
 
 
 @pytest.mark.skipif(shutil.which("jobmarket") is None,

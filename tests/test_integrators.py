@@ -297,7 +297,6 @@ def test_record_stride_thins_exactly():
     assert np.array_equal(thin.v, full.v[::20])
     assert np.array_equal(thin.times, full.times[::20])
     # full-resolution quantities do not depend on the recording stride
-    assert thin.integral_u == full.integral_u
     assert thin.integral_v == full.integral_v
     assert thin.max_total == full.max_total
     assert thin.clamp_count == full.clamp_count
@@ -379,20 +378,8 @@ def test_batch_rows_match_scalar_paths(scheme):
         assert np.array_equal(batch.V[i], traj.v)
         assert np.array_equal(batch.clamped[i], traj.clamped)
         assert batch.clamp_counts[i] == traj.clamp_count
-        assert batch.integral_u[i] == traj.integral_u
         assert batch.integral_v[i] == traj.integral_v
         assert batch.max_total[i] == traj.max_total
-
-
-def test_batch_rk4_matches_scalar():
-    batch = run_batch(Scheme.RK4, P_FIG2, np.array([50.0, 2.0]),
-                      np.array([10.0, 9.8]), 2.0, 0.01, None)
-    a = simulate(Scheme.RK4, P_FIG2, State(50.0, 10.0), 2.0, 0.01)
-    b = simulate(Scheme.RK4, P_FIG2, State(2.0, 9.8), 2.0, 0.01)
-    assert np.array_equal(batch.U[0], a.u)
-    assert np.array_equal(batch.V[0], a.v)
-    assert np.array_equal(batch.U[1], b.u)
-    assert np.array_equal(batch.V[1], b.v)
 
 
 def test_batch_validates_shapes():
@@ -400,13 +387,14 @@ def test_batch_validates_shapes():
         run_batch(Scheme.MILSTEIN, P_FIG1, np.array([1.0]), np.array([1.0]),
                   1.0, 0.01, np.zeros((1, 10)))  # too few increments
     with pytest.raises(ParameterError):
-        run_batch(Scheme.RK4, P_FIG1, np.array([1.0]), np.array([1.0]),
-                  1.0, 0.01, np.zeros((1, 100)))  # rk4 takes no increments
+        run_batch(Scheme.MILSTEIN, P_FIG1, np.array([1.0]), np.array([1.0]),
+                  1.0, 0.01, None)  # no noise
     for dW in (NoiseStream(1, 1, 0.01, 100), np.zeros((0, 100))):  # no lanes
         with pytest.raises(ParameterError):
             run_batch(Scheme.MILSTEIN, P_FIG1, np.zeros(0), np.zeros(0), 1.0, 0.01, dW)
     with pytest.raises(ParameterError):  # a bool is neither a horizon nor a dt
-        run_batch(Scheme.RK4, P_FIG1, np.ones(2), np.ones(2), True, True, None)
+        run_batch(Scheme.MILSTEIN, P_FIG1, np.ones(2), np.ones(2), True, True,
+                  np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,35 +403,29 @@ def test_batch_validates_shapes():
 P_NOISY = ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.5)  # clamps
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
 def test_multi_cell_rows_match_single_cell_runs(scheme):
     cells = (P_FIG1, P_FIG2, P_NOISY)
     n_paths, horizon, dt = 5, 2.0, 0.01
     n_steps = round(horizon / dt)
-    dW = None
-    if scheme.is_stochastic:
-        dW = np.stack([generate(3, i, dt, n_steps).increments
-                       for i in range(n_paths)])
+    dW = np.stack([generate(3, i, dt, n_steps).increments for i in range(n_paths)])
     u0 = np.linspace(1.0, 60.0, n_paths)
     v0 = np.linspace(12.0, 0.5, n_paths)
     batch = run_batch(scheme, list(cells), np.tile(u0, (3, 1)),
                       np.tile(v0, (3, 1)), horizon, dt, dW, record_stride=10)
     assert batch.U.shape == (3, n_paths, n_steps // 10 + 1)
     assert batch.n_paths == 3 * n_paths
-    if scheme.is_stochastic:
-        assert batch.clamp_counts.sum() > 0
+    assert batch.clamp_counts.sum() > 0
     for c, p in enumerate(cells):
         alone = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10)
         assert batch.params[c] is p
         assert np.array_equal(batch.times, alone.times)
-        for name in ("U", "V", "clamped", "clamp_counts", "integral_u",
-                     "integral_v", "max_total"):
+        for name in ("U", "V", "clamped", "clamp_counts", "integral_v", "max_total"):
             assert getattr(batch, name)[c].tobytes() == \
                 getattr(alone, name).tobytes(), name
 
 
-_BATCH_FIELDS = ("U", "V", "clamped", "clamp_counts", "integral_u", "integral_v",
-                 "max_total")
+_BATCH_FIELDS = ("U", "V", "clamped", "clamp_counts", "integral_v", "max_total")
 
 
 def _assert_rows_match_runs_alone(stacked, rows, alone):
@@ -503,26 +485,31 @@ def test_multi_cell_rows_match_single_cell_runs_in_every_clamp_tier(monkeypatch,
             scheme, p, u0[c], v0[c], horizon, dt, dW, record_stride=10))
 
 
-def test_multi_cell_rk4_failure_names_its_cell():
+def test_multi_cell_failure_names_its_cell():
+    # from (1e154, 1e154) the flux m*u*v overflows on the first step at
+    # m = 5.0, not at m = 0.01; with no noise, the m = 0.01 step zeroes u
     ok = ModelParams(r=1.0, K=100.0, m=0.01, d=0.2, sigma=0.09)
     bad = ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09)
-    u0, v0 = np.full(2, 50.0), np.full(2, 10.0)
-    with pytest.raises(IntegrationError) as alone:
-        run_batch(Scheme.RK4, bad, u0, v0, 10.0, 0.5, None)
-    stacked = run_batch(Scheme.RK4, [ok, bad, ok], np.tile(u0, (3, 1)),
-                        np.tile(v0, (3, 1)), 10.0, 0.5, None)
+    u0 = v0 = np.full(2, 1e154)
+    dW = np.zeros((2, 20))
+    with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as alone:
+        run_batch(Scheme.MILSTEIN, bad, u0, v0, 10.0, 0.5, dW)
+    with pytest.warns(RuntimeWarning):
+        stacked = run_batch(Scheme.MILSTEIN, [ok, bad, ok], np.tile(u0, (3, 1)),
+                            np.tile(v0, (3, 1)), 10.0, 0.5, dW)
     assert stacked.errors == (None, str(alone.value), None)
     _assert_rows_match_runs_alone(stacked, (0, 2),
-                                  run_batch(Scheme.RK4, ok, u0, v0, 10.0, 0.5, None))
+                                  run_batch(Scheme.MILSTEIN, ok, u0, v0, 10.0, 0.5, dW))
 
 
 def test_multi_cell_validates_shapes():
+    dW = np.zeros((2, 100))
     with pytest.raises(ParameterError):  # one row per params set
-        run_batch(Scheme.RK4, [P_FIG1, P_FIG2], np.ones((3, 2)),
-                  np.ones((3, 2)), 1.0, 0.01, None)
+        run_batch(Scheme.MILSTEIN, [P_FIG1, P_FIG2], np.ones((3, 2)),
+                  np.ones((3, 2)), 1.0, 0.01, dW)
     with pytest.raises(ParameterError):  # a single params set takes 1-D lanes
-        run_batch(Scheme.RK4, P_FIG1, np.ones((1, 2)), np.ones((1, 2)),
-                  1.0, 0.01, None)
+        run_batch(Scheme.MILSTEIN, P_FIG1, np.ones((1, 2)), np.ones((1, 2)),
+                  1.0, 0.01, dW)
     with pytest.raises(ParameterError):  # an empty sequence of params
         run_batch(Scheme.MILSTEIN, [], np.empty((0, 3)), np.empty((0, 3)), 1.0,
                   0.1, NoiseStream(1, 3, 0.1, 10))
@@ -557,7 +544,7 @@ def test_stream_and_row_major_matrix_give_identical_batches(monkeypatch, scheme,
                        record_stride=stride)
     if P_NOISY in cells:
         assert streamed.clamp_counts.sum() > 0
-    for name in ("times", "U", "V", "clamped", "clamp_counts", "integral_u",
+    for name in ("times", "U", "V", "clamped", "clamp_counts",
                  "integral_v", "max_total"):
         assert getattr(streamed, name).tobytes() == getattr(matrix, name).tobytes(), name
 
@@ -655,22 +642,18 @@ def test_both_entries_take_a_noise_dt_off_by_rounding_only(rel, fits):
 
 def _reference_path(scheme, p, x0, dt, n_steps, stride, increments):
     """One path stepped by the public step functions in a loop of its own:
-    recorded rows, row flags, clamp count, trapezoid integrals and running max."""
+    recorded rows, row flags, clamp count, trapezoid integral and running max."""
     u, v = x0
     rows_u, rows_v, flags, clamps = [u], [v], [False], 0
-    integral_u = integral_v = 0.0
+    integral_v = 0.0
     max_total = u + v
     flagged = False
+    stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
     for k in range(1, n_steps + 1):
-        if scheme is Scheme.RK4:
-            un, vn, clamped = integrators._scalar_next(None, u, v, dt, None, p)
-        else:
-            stepper = step_em if scheme is Scheme.EULER_MARUYAMA else step_milstein
-            (un, vn), clamped = stepper(State(u, v), dt, float(increments[k - 1]), p)
+        (un, vn), clamped = stepper(State(u, v), dt, float(increments[k - 1]), p)
         if clamped:
             clamps += 1
             flagged = True
-        integral_u += 0.5 * (u + un) * dt
         integral_v += 0.5 * (v + vn) * dt
         u, v = un, vn
         if u + v > max_total:
@@ -682,7 +665,7 @@ def _reference_path(scheme, p, x0, dt, n_steps, stride, increments):
             flagged = False
     return SimpleNamespace(times=[k * dt for k in range(0, n_steps + 1, stride)],
                            u=rows_u, v=rows_v, clamped=flags, clamps=clamps,
-                           integral_u=integral_u, integral_v=integral_v,
+                           integral_v=integral_v,
                            max_total=max_total)
 
 
@@ -690,14 +673,12 @@ def _bits(x, dtype=float):
     return np.asarray(x, dtype=dtype).tobytes()
 
 
-def _assert_matches(ref, times, u, v, clamped, clamp_count, integral_u,
-                    integral_v, max_total):
+def _assert_matches(ref, times, u, v, clamped, clamp_count, integral_v, max_total):
     assert _bits(times) == _bits(ref.times)
     assert _bits(u) == _bits(ref.u)
     assert _bits(v) == _bits(ref.v)
     assert _bits(clamped, bool) == _bits(ref.clamped, bool)
     assert clamp_count == ref.clamps
-    assert _bits(integral_u) == _bits(ref.integral_u)
     assert _bits(integral_v) == _bits(ref.integral_v)
     assert _bits(max_total) == _bits(ref.max_total)
 
@@ -710,7 +691,7 @@ _X0 = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
 
 @settings(max_examples=80,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scheme=st.sampled_from(list(Scheme)),
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
        cells=st.lists(_PARAMS, min_size=1, max_size=3),
        x0s=st.lists(_X0, min_size=1, max_size=3),
        dt=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
@@ -724,63 +705,40 @@ def test_simulate_and_run_batch_equal_a_reference_loop(monkeypatch, scheme, cell
     n_steps = stride * n_rows
     horizon = n_steps * dt
     n_paths = len(x0s)
-    paths = [generate(seed, i, dt, n_steps) if scheme.is_stochastic else None
-             for i in range(n_paths)]
-    lanes_u0 = np.array([x0[0] for x0 in x0s])
-    lanes_v0 = np.array([x0[1] for x0 in x0s])
-    p, u0, v0 = cells[0], lanes_u0, lanes_v0
+    paths = [generate(seed, i, dt, n_steps) for i in range(n_paths)]
+    p = cells[0]
+    u0 = np.array([x0[0] for x0 in x0s])
+    v0 = np.array([x0[1] for x0 in x0s])
     if len(cells) > 1:
         p, u0, v0 = cells, np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
-    dW = None
-    if scheme.is_stochastic:
-        dW = (NoiseStream(seed, n_paths, dt, n_steps) if stream
-              else np.stack([path.increments for path in paths]))
+    matrix = np.stack([path.increments for path in paths])
+    dW = NoiseStream(seed, n_paths, dt, n_steps) if stream else matrix
 
-    refs, failed = [], {}  # failed: cell index -> the error of its run alone
+    # from x0 in [0, 100]^2 no path goes non-finite: a clamp zeroes u or v
+    # before both are large, and each is absorbing
+    refs = []
     for c, cell in enumerate(cells):
         for i, (x0, path) in enumerate(zip(x0s, paths)):
-            try:
-                ref = _reference_path(scheme, cell, x0, dt, n_steps, stride,
-                                      None if path is None else path.increments)
-            except IntegrationError as ref_exc:
-                # only RK4 raises here; simulate prefixes the time of the step
-                with pytest.raises(IntegrationError) as exc:
-                    simulate(scheme, cell, State(*x0), horizon, dt, record_stride=stride)
-                assert str(exc.value).startswith("at t=")
-                assert str(exc.value).endswith(f": {ref_exc}")
-                if c not in failed:
-                    with pytest.raises(IntegrationError) as alone:
-                        run_batch(scheme, cell, lanes_u0, lanes_v0, horizon, dt, dW,
-                                  record_stride=stride)
-                    failed[c] = str(alone.value)
-                continue
+            ref = _reference_path(scheme, cell, x0, dt, n_steps, stride, path.increments)
             traj = simulate(scheme, cell, State(*x0), horizon, dt, path=path,
                             record_stride=stride)
             _assert_matches(ref, traj.times, traj.u, traj.v, traj.clamped,
-                            traj.clamp_count, traj.integral_u, traj.integral_v,
-                            traj.max_total)
-            # clamp count, integrals and running max do not depend on the stride
+                            traj.clamp_count, traj.integral_v, traj.max_total)
+            # clamp count, integral and running max do not depend on the stride
             full = simulate(scheme, cell, State(*x0), horizon, dt, path=path)
             assert full.clamp_count == traj.clamp_count
-            assert _bits([full.integral_u, full.integral_v, full.max_total]) == \
-                _bits([traj.integral_u, traj.integral_v, traj.max_total])
-            refs.append((c, (c, i) if len(cells) > 1 else (i,), ref))
-    if len(cells) == 1 and failed:
-        return  # the single-cell run raised above
+            assert _bits([full.integral_v, full.max_total]) == \
+                _bits([traj.integral_v, traj.max_total])
+            refs.append(((c, i) if len(cells) > 1 else (i,), ref))
 
-    # a multi-cell run records each failed cell's error and runs the rest on
     batch = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=stride)
-    full = run_batch(scheme, p, u0, v0, horizon, dt,
-                     None if dW is None else np.stack([path.increments for path in paths]))
-    assert batch.errors == full.errors == tuple(failed.get(c) for c in range(len(cells)))
-    for c, lane, ref in refs:
-        if c in failed:
-            continue
+    full = run_batch(scheme, p, u0, v0, horizon, dt, matrix)
+    assert batch.errors == full.errors == (None,) * len(cells)
+    for lane, ref in refs:
         _assert_matches(ref, batch.times, batch.U[lane], batch.V[lane],
                         batch.clamped[lane], batch.clamp_counts[lane],
-                        batch.integral_u[lane], batch.integral_v[lane],
-                        batch.max_total[lane])
-        for name in ("clamp_counts", "integral_u", "integral_v", "max_total"):
+                        batch.integral_v[lane], batch.max_total[lane])
+        for name in ("clamp_counts", "integral_v", "max_total"):
             assert _bits(getattr(full, name)[lane]) == _bits(getattr(batch, name)[lane]), name
 
 
@@ -960,7 +918,7 @@ def test_updates_equal_the_out_of_place_reference_and_keep_their_inputs(layout, 
 # ---------------------------------------------------------------------------
 # outputs: a run keeps only the accumulators its caller reads
 
-_ACCUMULATORS = ("integral_u", "integral_v", "max_total")
+_ACCUMULATORS = ("integral_v", "max_total")
 
 
 @pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
@@ -997,7 +955,7 @@ class _KeptRows:
         self.rows.append(tuple(np.array(x, copy=True) for x in (u, v, clamped)))
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
 @pytest.mark.parametrize("cells", [(P_NOISY,), (P_FIG1, P_NOISY, P_FIG2)])
 def test_a_recorder_takes_every_row_in_place_of_the_records(scheme, cells):
     n_paths, horizon, dt = 4, 2.0, 0.01
@@ -1006,7 +964,7 @@ def test_a_recorder_takes_every_row_in_place_of_the_records(scheme, cells):
     p = cells[0] if len(cells) == 1 else list(cells)
     if len(cells) > 1:
         u0, v0 = np.tile(u0, (len(cells), 1)), np.tile(v0, (len(cells), 1))
-    dW = _noise_matrix(5, n_paths, dt, round(horizon / dt)) if scheme.is_stochastic else None
+    dW = _noise_matrix(5, n_paths, dt, round(horizon / dt))
     full = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10)
     recorder = _KeptRows()
     taken = run_batch(scheme, p, u0, v0, horizon, dt, dW, record_stride=10,
@@ -1020,8 +978,7 @@ def test_a_recorder_takes_every_row_in_place_of_the_records(scheme, cells):
     assert len(recorder.rows) == len(full.times)
     for name in ("times", "clamp_counts", *_ACCUMULATORS):
         assert getattr(taken, name).tobytes() == getattr(full, name).tobytes(), name
-    if scheme.is_stochastic:
-        assert full.clamped[..., 1:].any()
+    assert full.clamped[..., 1:].any()
 
 
 def test_outputs_rejects_an_unknown_name():
@@ -1043,20 +1000,19 @@ P_OVERFLOW = ModelParams(r=10.0, K=1.7e308, m=0.1, d=0.2, sigma=0.2)
 
 @pytest.mark.parametrize("scheme,message", [
     (Scheme.MILSTEIN, "path 0: state went non-finite at t=0.0; reduce the step size"),
-    (Scheme.RK4, "path 0: RK4 went negative at t=0.0 (value nan); reduce the step size"),
 ])
 def test_non_finite_lane_fails_a_single_cell_run(scheme, message):
-    dW = np.zeros((2, 100)) if scheme.is_stochastic else None
+    dW = np.zeros((2, 100))
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as exc:
         run_batch(scheme, P_HUGE, np.array([HUGE, 1.0]), np.array([HUGE, 1.0]),
                   1.0, 0.01, dW)
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.MILSTEIN])
 def test_non_finite_row_is_recorded_and_the_others_run_on(scheme):
     u0, v0 = np.array([50.0, 3.0]), np.array([10.0, 40.0])
-    dW = _noise_matrix(4, 2, 0.01, 100) if scheme.is_stochastic else None
+    dW = _noise_matrix(4, 2, 0.01, 100)
     with pytest.warns(RuntimeWarning), pytest.raises(IntegrationError) as alone:
         run_batch(scheme, P_HUGE, np.full(2, HUGE), np.full(2, HUGE), 1.0, 0.01, dW)
     huge_row = np.full((1, 2), HUGE)
@@ -1088,11 +1044,6 @@ def test_failed_row_is_frozen_and_warns_no_more():
 
     first = _numpy_warnings(run(1))
     assert first and _numpy_warnings(run(100)) == first
-    # an RK4 row that went negative would overflow a few steps later
-    bad = ModelParams(r=1.0, K=100.0, m=5.0, d=0.2, sigma=0.09)
-    assert _numpy_warnings(lambda: run_batch(
-        Scheme.RK4, [P_FIG1, bad], np.full((2, 2), 50.0), np.full((2, 2), 10.0),
-        10.0, 0.5, None)) == []
 
 
 def test_simulate_raises_when_the_state_goes_non_finite():
@@ -1136,7 +1087,7 @@ _BIG_X0 = st.tuples(st.floats(0.0, 100.0) | st.sampled_from([1e150, HUGE, 1e308]
 
 @settings(max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scheme=st.sampled_from(list(Scheme)),
+@given(scheme=st.sampled_from([Scheme.EULER_MARUYAMA, Scheme.MILSTEIN]),
        cells=st.lists(_PARAMS, min_size=1, max_size=3),
        x0s=st.lists(_BIG_X0, min_size=1, max_size=3),
        dt=st.sampled_from([0.01, 0.25, 1.0]),
@@ -1147,15 +1098,12 @@ def test_only_failed_rows_leave_the_quadrant(monkeypatch, scheme, cells, x0s, dt
     n_steps = stride * n_rows
     u0 = np.tile([x0[0] for x0 in x0s], (len(cells), 1))
     v0 = np.tile([x0[1] for x0 in x0s], (len(cells), 1))
-    dW = None
-    if scheme.is_stochastic:
-        dW = _noise_matrix(seed, len(x0s), dt, n_steps)
+    dW = _noise_matrix(seed, len(x0s), dt, n_steps)
     with np.errstate(all="ignore"):
         every_step = run_batch(scheme, cells, u0, v0, n_steps * dt, dt, dW)
         monkeypatch.setattr(brownian, "_BLOCK_STEPS", step_cap)
         thin = run_batch(scheme, cells, u0, v0, n_steps * dt, dt,
-                         None if dW is None else NoiseStream(seed, len(x0s), dt, n_steps),
-                         record_stride=stride)
+                         NoiseStream(seed, len(x0s), dt, n_steps), record_stride=stride)
     # the record of failures depends on neither the stride nor the blocks
     assert thin.errors == every_step.errors
     for c, (cell, error) in enumerate(zip(cells, every_step.errors)):
@@ -1168,7 +1116,7 @@ def test_only_failed_rows_leave_the_quadrant(monkeypatch, scheme, cells, x0s, dt
         for i, x0 in enumerate(x0s):
             try:
                 simulate(scheme, cell, State(*x0), n_steps * dt, dt,
-                         path=None if dW is None else generate(seed, i, dt, n_steps))
+                         path=generate(seed, i, dt, n_steps))
             except IntegrationError as exc:
                 failures.append(float(re.match(r"at t=([^:]+):", str(exc))[1]))
         if error is None:
@@ -1191,8 +1139,8 @@ _SETTLING_X0 = (st.tuples(st.floats(0.0, 100.0),
 # lanes that fail: on the first step, a few steps in, and a settled lane
 # whose logistic update overflows
 _FAILING_X0 = st.sampled_from([(HUGE, HUGE), (1e150, 1e150), (1e308, 0.0)])
-_FIELDS = ("times", "U", "V", "clamped", "clamp_counts", "integral_u",
-           "integral_v", "max_total", "errors")
+_FIELDS = ("times", "U", "V", "clamped", "clamp_counts", "integral_v",
+           "max_total", "errors")
 
 
 def _split_and_plain(scheme, p, u0, v0, horizon, dt, seed, stride=1):
