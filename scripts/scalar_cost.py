@@ -6,7 +6,9 @@ Medians over R repeats, in microseconds per step, on the bundled fig2
 scenario:
 
 - simulate, Milstein and RK4: one path over the whole fig2 horizon
-  (2*10^5 steps, recorded every 100th step, as the config asks);
+  (2*10^5 steps, recorded every 100th step, as the config asks), with
+  both accumulators (the default) and with none (outputs=(), as the CLI's
+  simulate subcommand runs it);
 - run_batch, 1 lane, Milstein: the same path as a one-lane batch over the
   first tenth of the horizon (2*10^4 steps), the cost that simulate's
   scalar step avoids. run_batch takes the stochastic schemes only.
@@ -50,11 +52,15 @@ def main() -> None:
     rows = []
     for scheme in (Scheme.MILSTEIN, Scheme.RK4):
         noise = path if scheme.is_stochastic else None
-        scalar = _us_per_step(
-            lambda: simulate(scheme, cfg.params, cfg.x0, cfg.horizon, cfg.dt,
-                             path=noise, record_stride=cfg.record_stride),
-            n_steps, args.repeats)
-        rows.append(f"{scheme.value} simulate {scalar:.2f}")
+
+        def run(**kwargs):
+            return _us_per_step(
+                lambda: simulate(scheme, cfg.params, cfg.x0, cfg.horizon, cfg.dt,
+                                 path=noise, record_stride=cfg.record_stride, **kwargs),
+                n_steps, args.repeats)
+
+        scalar, bare = run(), run(outputs=())
+        rows.append(f"{scheme.value} simulate {scalar:.2f} (no accumulators {bare:.2f})")
     lane = _us_per_step(
         lambda: run_batch(Scheme.MILSTEIN, cfg.params, u0, v0, short * cfg.dt,
                           cfg.dt, dW),

@@ -12,6 +12,10 @@ running each of:
 - python -m jobmarket.cli --help;
 - one config error: fig1 with "n_paths": true, which exits 2.
 
+One more row is the benchmark's set-up probe (bench/probe_setup.py, its
+setup_s): import jobmarket.cli plus load_config("fig1"), timed inside the
+subprocess from its first statement, median over fresh interpreters.
+
 Each command's exit code is checked; a wrong one stops the script with a
 nonzero exit. The rounds interleave the commands, so a change in host
 speed reaches every row alike. It imports jobmarket from the path it is
@@ -33,8 +37,21 @@ from pathlib import Path
 from jobmarket import scenarios
 
 
+# the set-up probe: prints the seconds from its first statement until the
+# CLI is imported and a config loaded
+_PROBE = "set-up probe (import jobmarket.cli + load_config, in process)"
+_PROBE_CODE = """
+import time
+t0 = time.perf_counter()
+import jobmarket.cli
+jobmarket.cli.load_config("fig1")
+print(repr(time.perf_counter() - t0))
+"""
+
+
 def _commands(tmp: Path) -> list[tuple[str, list[str], int]]:
-    """(label, argv, expected exit code) of each timed command."""
+    """(label, argv, expected exit code) of each timed command; the set-up
+    probe's row takes the time it prints, the others their wall time."""
     bad = json.loads(scenarios.bundled_path("fig1").read_text())
     bad["n_paths"] = True
     config = tmp / "bad.json"
@@ -48,16 +65,17 @@ def _commands(tmp: Path) -> list[tuple[str, list[str], int]]:
         ("thresholds --config fig1", cli + ["thresholds", "--config", "fig1"] + out, 0),
         ("--help", cli + ["--help"], 0),
         ("config error (n_paths true)", cli + ["thresholds", "--config", str(config)] + out, 2),
+        (_PROBE, [sys.executable, "-c", _PROBE_CODE], 0),
     ]
 
 
-def _wall(argv: list[str], expected: int) -> float:
+def _time(label: str, argv: list[str], expected: int) -> float:
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != expected:
         sys.exit(f"{argv} exited {proc.returncode}, not {expected}: {proc.stderr[-2000:]}")
-    return wall
+    return float(proc.stdout) if label == _PROBE else wall
 
 
 def main() -> None:
@@ -69,10 +87,11 @@ def main() -> None:
         walls: dict[str, list[float]] = {label: [] for label, _, _ in commands}
         for _ in range(args.repeats):
             for label, argv, expected in commands:
-                walls[label].append(_wall(argv, expected))
-    print(f"subprocess wall time, median of {args.repeats}, s")
+                walls[label].append(_time(label, argv, expected))
+    print(f"subprocess wall time (the probe's own reading), median of {args.repeats}, s")
     for label, times in walls.items():
-        print(f"{label}: {statistics.median(times):.3f}")
+        digits = 4 if label == _PROBE else 3
+        print(f"{label}: {statistics.median(times):.{digits}f}")
 
 
 if __name__ == "__main__":

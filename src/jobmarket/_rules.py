@@ -15,6 +15,9 @@ from enum import Enum
 
 from .errors import ParameterError
 
+# the per-path accumulators that simulate and run_batch may keep
+_OUTPUTS = frozenset({"integral_v", "max_total"})
+
 
 class Scheme(Enum):
     RK4 = "rk4"
@@ -119,6 +122,14 @@ def _check_coupling(scheme: Scheme, levels, n_fine: int) -> None:
         raise ParameterError(
             f"dt_fine * 2^levels must divide the horizon: {n_fine} fine steps "
             f"are not a multiple of {2 ** levels}")
+
+
+def _check_outputs(outputs) -> None:
+    """The accumulators a run keeps: a subset of _OUTPUTS."""
+    unknown = set(outputs) - _OUTPUTS
+    if unknown:
+        raise ParameterError(f"unknown outputs {sorted(unknown)}; expected a "
+                             f"subset of {sorted(_OUTPUTS)}")
 
 
 def _resolve_steps(horizon, dt) -> int:

@@ -8,17 +8,16 @@ order, and no step depends on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Sequence, TextIO
+from typing import Collection, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import brownian
-from ._rules import (_check_coupling, _check_initial, _check_paths, _check_stochastic,
-                     _positive_int, _resolve_steps)
+from ._rules import (_OUTPUTS, _check_coupling, _check_initial, _check_paths,
+                     _check_stochastic, _positive_int, _resolve_steps)
 from .errors import IntegrationError, JobMarketError, ParameterError
-from .integrators import _OUTPUTS, BatchResult, Scheme, _coupled_terminals, run_batch
+from .integrators import BatchResult, Scheme, _coupled_terminals, run_batch
 from .model import ModelParams, Regime, State, classify_regime, persistence_floor
 
 __all__ = [
@@ -62,8 +61,7 @@ def simulate_paths(p: ModelParams | Sequence[ModelParams], scheme: Scheme,
                      record_stride=record_stride, outputs=outputs, recorder=recorder)
 
 
-@dataclass
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Per-time-point mean/std/quantiles of u and v over an ensemble.
 
     Quantiles use the nearest-rank method (value at index ceil(q*n) of the
@@ -168,8 +166,7 @@ def ensemble(p: ModelParams, scheme: Scheme, x0: State, horizon: float,
         clamp_rate=float(np.count_nonzero(batch.clamp_counts > 0)) / batch.n_paths)
 
 
-@dataclass(frozen=True)
-class StrongOrderReport:
+class StrongOrderReport(NamedTuple):
     """Least-squares fit of log2(error) against log2(dt).
 
     levels holds (dt, mean coupled terminal error) pairs, coarsest last;
@@ -237,8 +234,7 @@ class Observation(Enum):
     UNCLEAR = "unclear"
 
 
-@dataclass(frozen=True)
-class RegimeCell:
+class RegimeCell(NamedTuple):
     """One (m, sigma) grid point: predicted regime vs observed behaviour."""
 
     m: float

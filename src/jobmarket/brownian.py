@@ -26,7 +26,7 @@ import mmap
 import os
 import signal
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ _CHUNKS = 4  # a block reaches the caller in this many chunks
 _RING = _CHUNKS + 1  # chunk slots shared with a producer, at most: one block and a chunk
 
 
-@dataclass(frozen=True)
-class BrownianPath:
+class BrownianPath(NamedTuple):
     """An increment sequence with fixed step size and seed provenance.
 
     The cumulative sum of ``increments`` defines B with B(0) = 0, and

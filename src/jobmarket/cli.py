@@ -17,9 +17,8 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 # no numpy at import: analysis, brownian and integrators load it, so only
 # the handlers that step import them, and --help, thresholds and a config
@@ -38,8 +37,7 @@ DEFAULT_N_PATHS = 100
 DEFAULT_SEED = 20240101
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     params: ModelParams
     x0: State
     horizon: float
@@ -170,14 +168,15 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
     from .integrators import simulate
 
     with _out_dir(cfg, args) as out:
+        # the CSVs read neither accumulator, so neither run keeps one
         deterministic = simulate(Scheme.RK4, cfg.params, cfg.x0, cfg.horizon,
-                                 cfg.dt, record_stride=cfg.record_stride)
+                                 cfg.dt, record_stride=cfg.record_stride, outputs=())
         stochastic = deterministic  # an rk4 config has no noisy path of its own
         if cfg.scheme.is_stochastic:
             n_steps = _resolve_steps(cfg.horizon, cfg.dt)
             path = brownian.generate(cfg.seed, 0, cfg.dt, n_steps)
-            stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon,
-                                  cfg.dt, path=path, record_stride=cfg.record_stride)
+            stochastic = simulate(cfg.scheme, cfg.params, cfg.x0, cfg.horizon, cfg.dt,
+                                  path=path, record_stride=cfg.record_stride, outputs=())
         _write(out / "stochastic.csv", stochastic.to_csv)
         _write(out / "deterministic.csv", deterministic.to_csv)
     _say(args, f"wrote {out / 'stochastic.csv'} and {out / 'deterministic.csv'} "

@@ -48,15 +48,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Collection, Sequence, TextIO
+from typing import Collection, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import brownian
-from ._rules import (Scheme, _check_initial, _check_noise_fit, _check_stochastic,
-                     _check_stride, _positive_finite, _resolve_steps)
+from ._rules import (_OUTPUTS, Scheme, _check_initial, _check_noise_fit, _check_outputs,
+                     _check_stochastic, _check_stride, _positive_finite, _resolve_steps)
 from .brownian import BrownianPath, NoiseStream
 from .errors import IntegrationError, ParameterError
 from .model import ModelParams, State, drift
@@ -80,9 +79,6 @@ _RK4_CLAMP_REL = 1e-12
 # frozen lanes from which _Lanes splits its step: below about a thousand,
 # its gathers, scatters and copies cost more than the steps it saves
 _SPLIT_MIN = 1000
-
-# the per-path accumulators a run_batch caller may ask for
-_OUTPUTS = frozenset({"integral_v", "max_total"})
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,7 @@ def step_milstein(s: State, dt: float, dB: float, p: ModelParams) -> tuple[State
 # ---------------------------------------------------------------------------
 # trajectories
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """A recorded solution path on a uniform time grid.
 
     times/u/v/clamped are aligned arrays; ``clamped[i]`` means at least one
@@ -215,8 +210,8 @@ class Trajectory:
     clamp_count: int
     seed: int | None  # the driving path's; None under RK4
     path_index: int | None
-    integral_v: float
-    max_total: float
+    integral_v: float | None  # None when simulate's outputs left them out
+    max_total: float | None
 
     @property
     def horizon(self) -> float:
@@ -307,16 +302,19 @@ def _advance(step, u, v, dt: float, n_steps: int, record_stride: int, noise,
 
 def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
              dt: float, path: BrownianPath | None = None,
-             record_stride: int = 1) -> Trajectory:
+             record_stride: int = 1, *,
+             outputs: Collection[str] = _OUTPUTS) -> Trajectory:
     """Advance x0 over [0, horizon] and record every record_stride-th state.
 
     Stochastic schemes require ``path`` covering at least horizon/dt steps
     at the same dt; RK4 takes no driving path. Time averages are
     accumulated at full resolution regardless of the recording stride.
-    A failing step raises IntegrationError, prefixed with its start time.
+    outputs names the accumulators to keep, as for run_batch. A failing
+    step raises IntegrationError, prefixed with its start time.
     """
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
+    _check_outputs(outputs)
     u, v = float(x0[0]), float(x0[1])
     _check_initial(u, v)
 
@@ -340,7 +338,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
 
     records = _Records()
     times, u, v, count, integral_v, max_total = _advance(
-        step, u, v, dt, n_steps, record_stride, noise, records)
+        step, u, v, dt, n_steps, record_stride, noise, records, outputs)
     for x in (u, v):
         if not math.isfinite(x):  # a +inf from the last step; earlier ones fail the next
             raise IntegrationError(f"at t={(n_steps - 1) * dt}: state went "
@@ -358,8 +356,7 @@ def simulate(scheme: Scheme, p: ModelParams, x0: State, horizon: float,
 # ---------------------------------------------------------------------------
 # vectorised multi-path engine
 
-@dataclass
-class BatchResult:
+class BatchResult(NamedTuple):
     """Per-path outputs of a vectorised run on a shared time grid.
 
     U and V have shape (n_paths, n_recorded), or (cells, n_paths,
@@ -400,7 +397,7 @@ def _stack_params(ps: tuple[ModelParams, ...], n_paths: int) -> SimpleNamespace:
     C-contiguous (cells, n_paths) arrays whose row c holds ps[c]'s value:
     lane-shaped, so a step's ufuncs on (cells, n_paths) lanes run on
     same-shape operands, which numpy dispatches faster than a broadcast."""
-    names = [f.name for f in fields(ModelParams)] + ["half_sigma_sq"]
+    names = [*ModelParams.__slots__, "half_sigma_sq"]
     return SimpleNamespace(**{
         name: np.repeat(np.array([[getattr(q, name)] for q in ps]), n_paths, axis=1)
         for name in names})
@@ -576,10 +573,7 @@ def run_batch(scheme: Scheme, p: ModelParams | Sequence[ModelParams],
     _check_stochastic(scheme)
     n_steps = _resolve_steps(horizon, dt)
     _check_stride(n_steps, record_stride)
-    unknown = set(outputs) - _OUTPUTS
-    if unknown:
-        raise ParameterError(f"unknown outputs {sorted(unknown)}; expected a "
-                             f"subset of {sorted(_OUTPUTS)}")
+    _check_outputs(outputs)
     u = np.asarray(u0, dtype=float)
     v = np.asarray(v0, dtype=float)
     cells = ()

@@ -548,21 +548,34 @@ def test_module_entry_point(tmp_path):
     assert (out / "thresholds.json").exists()
 
 
+def _bare_interpreter_loads(name: str) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; print({name!r} in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    return proc.stdout == "True\n"
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random adds import time and about 6 MB of RSS to every run; the
     # noise sampler loads it when it first draws. numpy itself loads with
-    # the first handler that steps.
+    # the first handler that steps. dataclasses, and the inspect it imports,
+    # took about a third of the CLI's start-up; numpy imports inspect itself,
+    # so the modules that import numpy are held to dataclasses alone.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, jobmarket.cli; "
-         "print('numpy.random' in sys.modules, 'numpy' in sys.modules)"],
+         "import sys, jobmarket.cli; jobmarket.cli.load_config('fig1'); "
+         "print(*(name in sys.modules for name in "
+         "('numpy.random', 'numpy', 'dataclasses', 'inspect'))); "
+         "import jobmarket.analysis; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+    inspect = _bare_interpreter_loads("inspect")
+    assert proc.stdout == f"False False False {inspect}\nFalse\n"
 
 
 # runs each argv through main in one interpreter; prints each exit code and
-# whether numpy was loaded after it, as JSON on the last line
+# whether numpy, dataclasses and inspect were loaded after it, as JSON on the
+# last line
 _MAIN_RUNS = """
 import json, sys
 from jobmarket.cli import main
@@ -572,12 +585,14 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     except SystemExit as exc:  # --help
         code = exc.code
-    results.append([code, "numpy" in sys.modules])
+    loaded = [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
+    results.append([code, *loaded])
 print(json.dumps(results))
 """
 
 
 def test_thresholds_help_and_config_errors_run_without_numpy(tmp_path):
+    inspect = _bare_interpreter_loads("inspect")
     out, rk4_out = str(tmp_path / "out"), str(tmp_path / "rk4_out")
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -607,7 +622,8 @@ def test_thresholds_help_and_config_errors_run_without_numpy(tmp_path):
         [sys.executable, "-c", _MAIN_RUNS, json.dumps([argv for argv, _ in runs])],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[code, False] for _, code in runs]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[code, False, False, inspect]
+                                                        for _, code in runs]
     assert not (tmp_path / "rk4_out").exists()
 
 

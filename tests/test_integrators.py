@@ -903,7 +903,9 @@ def _one_nan(x):
 def test_updates_equal_the_out_of_place_reference_and_keep_their_inputs(layout, update,
                                                                         data):
     u, v, dt, dB, coeffs, block = _update_inputs(layout, data)
-    inputs = [x for x in (u, v, dt, dB, block, *vars(coeffs).values()) if x is not None]
+    # one ModelParams' constants, or _stack_params' lane-shaped arrays of them
+    constants = [getattr(coeffs, name) for name in (*ModelParams.__slots__, "half_sigma_sq")]
+    inputs = [x for x in (u, v, dt, dB, block, *constants) if x is not None]
     before = [_bits(x) for x in inputs]
     step, reference = _UPDATES[update]
     with np.errstate(all="ignore"):
@@ -941,6 +943,24 @@ def test_outputs_drop_only_the_fields_left_out(scheme, cells):
             for name in ("times", "U", "V", "clamped", "clamp_counts", *kept):
                 assert getattr(part, name).tobytes() == \
                     getattr(full, name).tobytes(), (kept, name)
+            for name in set(_ACCUMULATORS) - set(kept):
+                assert getattr(part, name) is None, (kept, name)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_outputs_drop_only_the_fields_left_out(scheme):
+    horizon, dt = 2.0, 0.01
+    path = generate(5, 1, dt, round(horizon / dt)) if scheme.is_stochastic else None
+    full = simulate(scheme, P_NOISY, State(1.0, 12.0), horizon, dt, path=path,
+                    record_stride=10)
+    assert full.clamp_count > 0 or not scheme.is_stochastic
+    for r in range(len(_ACCUMULATORS) + 1):
+        for kept in itertools.combinations(_ACCUMULATORS, r):
+            part = simulate(scheme, P_NOISY, State(1.0, 12.0), horizon, dt, path=path,
+                            record_stride=10, outputs=set(kept))
+            for name in ("times", "u", "v", "clamped", "clamp_count", *kept):
+                assert _bits(getattr(part, name), None) == \
+                    _bits(getattr(full, name), None), (kept, name)
             for name in set(_ACCUMULATORS) - set(kept):
                 assert getattr(part, name) is None, (kept, name)
 
@@ -985,6 +1005,8 @@ def test_outputs_rejects_an_unknown_name():
     with pytest.raises(ParameterError, match="integral_w"):
         run_batch(Scheme.MILSTEIN, P_FIG1, np.ones(2), np.ones(2), 1.0, 0.01,
                   _noise_matrix(1, 2, 0.01, 100), outputs={"integral_w"})
+    with pytest.raises(ParameterError, match="integral_w"):
+        simulate(Scheme.RK4, P_FIG1, State(1.0, 1.0), 1.0, 0.01, outputs={"integral_w"})
 
 
 # ---------------------------------------------------------------------------

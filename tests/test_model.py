@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,8 +64,53 @@ def test_mu_is_derived_min():
     assert ModelParams(0.1, 100.0, 0.1, 0.2, 0.0).mu() == 0.1
 
 
+_GOOD = {"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.1}
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("r", 0.0, "r must be > 0, got 0.0"),
+    ("K", -1, "K must be > 0, got -1.0"),
+    ("d", -0.0, "d must be > 0, got -0.0"),
+    ("sigma", -0.01, "sigma must be >= 0, got -0.01"),
+    ("m", float("nan"), "m must be finite, got nan"),
+    ("sigma", "0.1", "sigma must be a real number, got '0.1'"),
+    ("d", True, "d must be a real number, got True"),
+])
+def test_every_construction_path_gives_the_same_message(field, bad, message):
+    values = {**_GOOD, field: bad}
+    builds = {
+        "keyword": lambda: ModelParams(**values),
+        "positional": lambda: ModelParams(*values.values()),
+        "from_dict": lambda: ModelParams.from_dict(values),
+    }
+    for path, build in builds.items():
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert str(exc.value) == message, path
+
+
+def test_params_are_an_immutable_value():
+    p = ModelParams(r=1, K=100, m=0.1, d=0.2, sigma=0)
+    for name in ("r", "sigma", "half_sigma_sq", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 2.0)
+    with pytest.raises(AttributeError):
+        del p.K
+    assert [getattr(p, name) for name in _GOOD] == [1.0, 100.0, 0.1, 0.2, 0.0]
+    assert all(type(getattr(p, name)) is float for name in _GOOD)
+
+    same = ModelParams(1.0, 100.0, 0.1, 0.2, 0.0)
+    assert p == same and not p != same and hash(p) == hash(same)
+    assert len({p, same}) == 1
+    assert p != ModelParams(1.0, 100.0, 0.1, 0.2, 1e-300)
+    assert p != (1.0, 100.0, 0.1, 0.2, 0.0)
+    assert repr(p) == "ModelParams(r=1.0, K=100.0, m=0.1, d=0.2, sigma=0.0)"
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and repr(clone) == repr(p)
+
+
 def test_params_json_round_trip():
-    d = dataclasses.asdict(P_PERSIST)
+    d = {name: getattr(P_PERSIST, name) for name in ModelParams.__slots__}
     assert d == {"r": 1.0, "K": 100.0, "m": 0.1, "d": 0.2, "sigma": 0.001}
     assert ModelParams.from_dict(d) == P_PERSIST
 
